@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -20,9 +19,6 @@ import (
 // the *full* universe — no site cap — which is affordable precisely
 // because both sides are arenas. CampaignEnv/CompareEngines are also the
 // building blocks the fixed mode-equivalence tests use.
-
-// maxCampaignCycles bounds the golden full-system run.
-const maxCampaignCycles = 6_000_000
 
 // CampaignEnv is one replayed fault-campaign environment: a multi-core
 // golden configuration and the core under test.
@@ -89,41 +85,22 @@ func NewCampaignEnv(module string, underTest, active int, pos, pad uint32, cache
 // once; both modes then fault-simulate against the same replayed
 // environment.
 func (e *CampaignEnv) CompareEngines(sites []fault.Site) (string, error) {
-	replayCfg, budget, err := e.record()
+	replayCfg, budget, err := core.RecordReplay(e.Cfg, e.Jobs, e.UnderTest)
 	if err != nil {
 		return "", err
 	}
 	return e.compareOn(replayCfg, budget, sites)
 }
 
-// record performs the golden run and returns the replay configuration and
-// per-fault cycle budget.
-func (e *CampaignEnv) record() (soc.Config, int64, error) {
-	var rec *bus.Recorder
-	results, _, err := core.RunJobsSetup(e.Cfg, e.Jobs, maxCampaignCycles, nil, func(s *soc.SoC) {
-		rec = s.AttachRecorder(e.UnderTest)
-	})
-	if err != nil {
-		return soc.Config{}, 0, err
-	}
-	golden := results[e.UnderTest]
-	if !golden.OK {
-		return soc.Config{}, 0, fmt.Errorf("conform: golden run failed on core %d", e.UnderTest)
-	}
-	replayCfg := e.Cfg
-	replayCfg.Replay = rec.EventsByMaster()
-	return replayCfg, golden.Cycles*8 + 20_000, nil
-}
-
 // compareOn runs both arena modes on an already-recorded environment.
 func (e *CampaignEnv) compareOn(replayCfg soc.Config, budget int64, sites []fault.Site) (string, error) {
-	ref, err := core.RunCampaign(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, e.Workers, true)
+	ref, err := core.RunCampaignOpts(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
+		budget, core.CampaignOptions{Workers: e.Workers, Reference: true})
 	if err != nil {
 		return "", fmt.Errorf("reference arena: %w", err)
 	}
-	opt, err := core.RunCampaign(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, e.Workers, false)
+	opt, err := core.RunCampaignOpts(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
+		budget, core.CampaignOptions{Workers: e.Workers})
 	if err != nil {
 		return "", fmt.Errorf("optimized arena: %w", err)
 	}
@@ -200,7 +177,7 @@ func runCampaignSeed(seed int64) *Mismatch {
 	if err != nil {
 		return &Mismatch{Scenario: "campaign", Seed: seed, Detail: err.Error()}
 	}
-	replayCfg, budget, err := env.record()
+	replayCfg, budget, err := core.RecordReplay(env.Cfg, env.Jobs, env.UnderTest)
 	if err != nil {
 		return &Mismatch{Scenario: "campaign", Seed: seed, Detail: err.Error()}
 	}

@@ -149,7 +149,7 @@ func runMultifaultSeed(seed int64) *Mismatch {
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: err.Error()}
 	}
-	replayCfg, budget, err := env.record()
+	replayCfg, budget, err := core.RecordReplay(env.Cfg, env.Jobs, env.UnderTest)
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: err.Error()}
 	}
@@ -170,7 +170,7 @@ func runMultifaultSeed(seed int64) *Mismatch {
 	if rng.Intn(2) == 0 {
 		plan = archint.RandomPlan(rng)
 		gate, err := core.NewArena(replayCfg, underTest, env.Jobs[underTest], budget, core.ArenaOptions{Plan: plan})
-		if err != nil || !gate.GoldenOK() {
+		if err != nil || !gate.Stats().GoldenOK {
 			plan = archint.Plan{}
 		}
 	}

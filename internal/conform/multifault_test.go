@@ -21,7 +21,7 @@ func TestMultifaultSteeringReachesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayCfg, budget, err := env.record()
+	replayCfg, budget, err := core.RecordReplay(env.Cfg, env.Jobs, env.UnderTest)
 	if err != nil {
 		t.Fatal(err)
 	}

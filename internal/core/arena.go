@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/archint"
+	"repro/internal/bus"
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/soc"
@@ -34,8 +35,8 @@ import (
 //   - flood: a run that has observably diverged keeps storing past 8x the
 //     golden store count (plus slack) — the runaway-loop class.
 //
-// The margins apply the same 8x stall-factor assumption the campaign cycle
-// budget (golden cycles x 8 + 20_000) embodies, at store-gap rather than
+// The margins apply the same stall-factor assumption the campaign cycle
+// budget (see RecordReplay) embodies, at store-gap rather than
 // whole-run granularity, so both modes misclassify only runs slowed by
 // more than 8x — and the mode-equivalence tests pin that they agree on
 // every site of the shipped universes. ArenaOptions.NoEarlyExit restores
@@ -110,8 +111,7 @@ type Arena struct {
 	met  arenaMetrics
 }
 
-// ArenaStats is one arena's lifetime counters as a plain snapshot —
-// the unified form of the per-counter getters, which now delegate to it.
+// ArenaStats is one arena's lifetime counters as a plain snapshot.
 // Campaign code folds the per-worker snapshots into campaign totals
 // (fault.Report.Dispatch) and the run-summary JSON.
 type ArenaStats struct {
@@ -145,7 +145,8 @@ type ArenaStats struct {
 	Checkpoints int
 	// GoldenEvents is the length of the captured observable trace.
 	GoldenEvents int
-	// GoldenOK reports a clean construction-time golden capture.
+	// GoldenOK reports a clean construction-time golden capture. Scenario
+	// harnesses gate optional perturbations (an interrupt plan) on it.
 	GoldenOK bool
 	// Dead reports an arena that gave up on reuse (rebuild failed).
 	Dead bool
@@ -248,10 +249,6 @@ type ArenaOptions struct {
 	// arena is rebuilt after a failed health check.
 	Events *telemetry.EventLog
 }
-
-// earlySlack mirrors the constant term of the campaign watchdog budget
-// (golden cycles x 8 + 20_000).
-const earlySlack = 20_000
 
 // NewArena assembles the SoC once and runs the fault-free golden once to
 // capture the observable trace. cfg should carry the replayed background
@@ -370,7 +367,7 @@ func (a *Arena) calibrate() {
 	if g := a.last.Cycles - prev; g > maxGap {
 		maxGap = g
 	}
-	a.hangLimit = maxGap * 8
+	a.hangLimit = maxGap * budgetFactor
 	if a.hangLimit < a.last.Cycles {
 		// Never call a run hung for a silence shorter than one entire
 		// golden run: routines with dense stores would otherwise get an
@@ -378,8 +375,8 @@ func (a *Arena) calibrate() {
 		// full campaign budget.
 		a.hangLimit = a.last.Cycles
 	}
-	a.hangLimit += earlySlack
-	a.floodCap = len(a.golden)*8 + 1_000
+	a.hangLimit += budgetSlack
+	a.floodCap = len(a.golden)*budgetFactor + 1_000
 }
 
 // observe receives every completed store of the core under test.
@@ -769,59 +766,6 @@ func (a *Arena) SoC() *soc.SoC { return a.s }
 // Last returns the full result of the most recent Run.
 func (a *Arena) Last() RunResult { return a.last }
 
-// GoldenEvents returns the length of the captured observable trace.
-func (a *Arena) GoldenEvents() int { return len(a.golden) }
-
-// Runs returns how many runs this arena has served (including the golden
-// capture run).
-func (a *Arena) Runs() int64 { return a.st.Runs }
-
-// EarlyExits returns how many runs the divergence watchdogs terminated
-// before the full budget.
-func (a *Arena) EarlyExits() int64 { return a.st.EarlyExits }
-
-// HealthChecks returns how many golden-replay health probes this arena ran.
-func (a *Arena) HealthChecks() int64 { return a.st.HealthChecks }
-
-// Quarantines returns how many times this arena was rebuilt after a failed
-// health check.
-func (a *Arena) Quarantines() int64 { return a.st.Quarantines }
-
-// FallbackRuns returns how many sites were served by fresh-SoC
-// rebuild-per-fault runs (quarantined sites, plus everything after the
-// arena died).
-func (a *Arena) FallbackRuns() int64 { return a.st.FallbackRuns }
-
-// Dead reports whether the arena gave up on reuse entirely (rebuild
-// failed) and now serves every site via fallback runs.
-func (a *Arena) Dead() bool { return a.dead }
-
-// Checkpoints returns how many golden-run restore points this arena holds.
-func (a *Arena) Checkpoints() int { return len(a.ckpts) }
-
-// CheckpointRuns returns how many runs started from a golden checkpoint
-// instead of replaying the full prefix.
-func (a *Arena) CheckpointRuns() int64 { return a.st.CheckpointRuns }
-
-// GoldenOK reports whether the construction-time golden capture run
-// completed cleanly. Scenario harnesses gate optional environment
-// perturbations (e.g. an interrupt plan) on it: a perturbation under which
-// even the fault-free run fails would fault every verdict.
-func (a *Arena) GoldenOK() bool { return a.goldenOK }
-
-// GoldenServed returns how many sites were served the golden verdict
-// outright because their fault never activates.
-func (a *Arena) GoldenServed() int64 { return a.st.GoldenServed }
-
-// ConvergedRuns returns how many runs were cut short because the faulty
-// SoC provably re-converged with the golden run past the site's last
-// activating edge.
-func (a *Arena) ConvergedRuns() int64 { return a.st.ConvergedRuns }
-
-// Jumps returns how many provably-golden mid-run windows were skipped by
-// restoring a later checkpoint after exact re-convergence.
-func (a *Arena) Jumps() int64 { return a.st.Jumps }
-
 // CampaignOptions tunes RunCampaignOpts beyond the engine mode.
 type CampaignOptions struct {
 	// Workers is the worker-pool size; <= 0 uses GOMAXPROCS.
@@ -935,20 +879,49 @@ func CampaignFingerprint(cfg soc.Config, id int, job *CoreJob, sites []fault.Sit
 	}, nil
 }
 
-// RunCampaign fault-simulates job on core id for every site, in the replay
-// environment cfg with the given per-run cycle budget — the shared engine
-// dispatch behind experiments campaigns and cmd/faultsim. Each worker
-// drives one reusable Arena; reference selects the full-budget reference
-// mode (no early exit, no checkpointing, no golden-verdict shortcut).
-// Both modes produce identical reports. workers <= 0 uses GOMAXPROCS.
-func RunCampaign(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, workers int, reference bool) (fault.Report, error) {
-	return RunCampaignOpts(cfg, id, job, sites, budget, CampaignOptions{Workers: workers, Reference: reference})
+// Campaign budget policy: every fault run may take budgetFactor times the
+// golden run's cycles plus budgetSlack before the watchdog calls it hung.
+// The arena's early-exit watchdogs apply the same factor and slack at
+// store-gap granularity (see Arena.calibrate). goldenCap bounds the
+// fault-free full-system run itself.
+const (
+	budgetFactor = 8
+	budgetSlack  = 20_000
+	goldenCap    = 10_000_000
+)
+
+// RecordReplay is the one campaign builder: it runs the fault-free
+// full-system golden of jobs under cfg while recording every core's bus
+// traffic except core id's, requires a clean run on core id, and returns
+// cfg with that traffic set as the replayed background plus the per-run
+// cycle budget derived from the golden cycle count. Every fault campaign
+// then simulates core id alone against the replay.
+func RecordReplay(cfg soc.Config, jobs [soc.NumCores]*CoreJob, id int) (replay soc.Config, budget int64, err error) {
+	var rec *bus.Recorder
+	results, _, err := RunJobsSetup(cfg, jobs, goldenCap, nil, func(s *soc.SoC) {
+		rec = s.AttachRecorder(id)
+	})
+	if err != nil {
+		return soc.Config{}, 0, fmt.Errorf("golden run: %w", err)
+	}
+	golden := results[id]
+	if !golden.OK {
+		return soc.Config{}, 0, fmt.Errorf("golden run failed on core %d", id)
+	}
+	cfg.Replay = rec.EventsByMaster()
+	return cfg, golden.Cycles*budgetFactor + budgetSlack, nil
 }
 
-// RunCampaignOpts is RunCampaign with journaling: verdicts stream to an
-// append-only journal as they settle, and a resumed campaign skips the
-// sites the journal already settles — producing a report bit-identical to
-// the uninterrupted run.
+// RunCampaignOpts fault-simulates job on core id for every site, in the
+// replay environment cfg with the given per-run cycle budget — the shared
+// engine dispatch behind experiments campaigns, conform, cmd/faultsim and
+// the campaign service. Each worker drives one reusable Arena;
+// opt.Reference selects the full-budget reference mode (no early exit, no
+// checkpointing, no golden-verdict shortcut), and both modes produce
+// identical reports. With a journal, verdicts stream to an append-only
+// file as they settle, and a resumed campaign skips the sites the journal
+// already settles — producing a report bit-identical to the uninterrupted
+// run.
 func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, opt CampaignOptions) (fault.Report, error) {
 	reg := opt.Telemetry
 	if reg == nil && opt.Progress > 0 {

@@ -50,23 +50,24 @@ func TestArenaQuarantineRecoversPoisonedReset(t *testing.T) {
 		t.Fatalf("healthy arena hang verdict (%08x, %v) != fresh (%08x, %v)",
 			sig, ok, freshHang.Signature, freshHang.OK)
 	}
-	if a.HealthChecks() != 1 || a.Quarantines() != 0 {
+	if st := a.Stats(); st.HealthChecks != 1 || st.Quarantines != 0 {
 		t.Fatalf("healthy cut run: checks=%d quarantines=%d, want 1/0",
-			a.HealthChecks(), a.Quarantines())
+			st.HealthChecks, st.Quarantines)
 	}
 
 	// Poison the arena. The next cut run must fail its health check,
 	// quarantine the arena, and settle the site on a fresh SoC.
 	a.testPoison = poisonData(job)
 	sig, ok = a.Run(fault.PlaneFor(hangSite))
-	if a.Quarantines() != 1 {
-		t.Fatalf("poisoned arena not quarantined (quarantines=%d)", a.Quarantines())
+	st := a.Stats()
+	if st.Quarantines != 1 {
+		t.Fatalf("poisoned arena not quarantined (quarantines=%d)", st.Quarantines)
 	}
-	if a.Dead() {
+	if st.Dead {
 		t.Fatal("rebuild failed")
 	}
-	if a.FallbackRuns() != 1 {
-		t.Errorf("suspect site not served by fallback (fallbacks=%d)", a.FallbackRuns())
+	if st.FallbackRuns != 1 {
+		t.Errorf("suspect site not served by fallback (fallbacks=%d)", st.FallbackRuns)
 	}
 	if ok != freshHang.OK || (ok && sig != freshHang.Signature) {
 		t.Errorf("quarantined site verdict (%08x, %v) != fresh-SoC (%08x, %v)",
@@ -122,11 +123,12 @@ func TestArenaPanickedRunHealthCheck(t *testing.T) {
 	}()
 
 	sig, ok := a.Run(fault.None)
-	if a.HealthChecks() == 0 {
+	st := a.Stats()
+	if st.HealthChecks == 0 {
 		t.Error("no health check after a panicked run")
 	}
-	if a.Quarantines() != 1 {
-		t.Fatalf("poisoned arena not quarantined after panic (quarantines=%d)", a.Quarantines())
+	if st.Quarantines != 1 {
+		t.Fatalf("poisoned arena not quarantined after panic (quarantines=%d)", st.Quarantines)
 	}
 	if sig != wantRes.Signature || !ok {
 		t.Errorf("post-quarantine golden %08x ok=%v, want %08x", sig, ok, wantRes.Signature)

@@ -224,8 +224,8 @@ func TestArenaQuarantineEvent(t *testing.T) {
 	if _, ok := a.Run(fault.None); !ok {
 		t.Fatal("post-quarantine golden run failed")
 	}
-	if a.Quarantines() != 1 {
-		t.Fatalf("quarantines = %d, want 1", a.Quarantines())
+	if q := a.Stats().Quarantines; q != 1 {
+		t.Fatalf("quarantines = %d, want 1", q)
 	}
 	if got := reg.Counter("arena_quarantines_total").Value(); got != 1 {
 		t.Errorf("quarantine counter = %d, want 1", got)
@@ -248,8 +248,8 @@ func TestArenaQuarantineEvent(t *testing.T) {
 	}
 }
 
-// TestArenaStatsSnapshot pins that the unified ArenaStats snapshot agrees
-// with the per-counter getters it subsumes.
+// TestArenaStatsSnapshot pins that the ArenaStats snapshot classifies
+// every site served through Run.
 func TestArenaStatsSnapshot(t *testing.T) {
 	replayCfg, job, budget := arenaEnv(t, 1, false)
 	a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{CheckpointInterval: 512})
@@ -260,15 +260,6 @@ func TestArenaStatsSnapshot(t *testing.T) {
 		a.Run(fault.PlaneFor(s))
 	}
 	st := a.Stats()
-	if st.Runs != a.Runs() || st.EarlyExits != a.EarlyExits() ||
-		st.HealthChecks != a.HealthChecks() || st.Quarantines != a.Quarantines() ||
-		st.FallbackRuns != a.FallbackRuns() || st.CheckpointRuns != a.CheckpointRuns() ||
-		st.GoldenServed != a.GoldenServed() || st.ConvergedRuns != a.ConvergedRuns() ||
-		st.Jumps != a.Jumps() || st.Checkpoints != a.Checkpoints() ||
-		st.GoldenEvents != a.GoldenEvents() || st.GoldenOK != a.GoldenOK() ||
-		st.Dead != a.Dead() {
-		t.Errorf("Stats() disagrees with getters: %+v", st)
-	}
 	if st.Dispatch.Total() != int64(len(campaignSites())) {
 		t.Errorf("dispatch total = %d, want %d", st.Dispatch.Total(), len(campaignSites()))
 	}

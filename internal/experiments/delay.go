@@ -43,9 +43,8 @@ func DelayFaults(o Options) ([]DelayRow, error) {
 			if id >= spec.active {
 				continue
 			}
-			c := newCampaign(o, id, baseConfig(spec.active, false),
-				forwardingJobs(id, spec, func(int) core.Strategy { return core.Plain{} }, false))
-			rep, err := c.run(sites)
+			rep, err := runCampaign(o, id, baseConfig(spec.active, false),
+				forwardingJobs(id, spec, func(int) core.Strategy { return core.Plain{} }, false), sites)
 			if err != nil {
 				return nil, fmt.Errorf("delay core %s: %w", coreName(id), err)
 			}
@@ -54,10 +53,9 @@ func DelayFaults(o Options) ([]DelayRow, error) {
 		mm := fault.NewMinMax(reports)
 
 		spec := scenarioSpec{active: 3, pos: soc.CodeLow, pad: 0}
-		c := newCampaign(o, id, baseConfig(3, true),
+		cacheRep, err := runCampaign(o, id, baseConfig(3, true),
 			forwardingJobs(id, spec,
-				func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, false))
-		cacheRep, err := c.run(sites)
+				func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, false), sites)
 		if err != nil {
 			return nil, fmt.Errorf("delay core %s cached: %w", coreName(id), err)
 		}

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -48,8 +46,6 @@ type Options struct {
 	// Progress > 0 forwards a progress-line interval to every campaign;
 	// see core.CampaignOptions.Progress.
 	Progress time.Duration
-	// ProgressWriter receives the progress lines; nil means os.Stderr.
-	ProgressWriter io.Writer
 }
 
 // span times one table sweep: started on entry, the returned func records
@@ -195,66 +191,37 @@ func tableIIScenarios(quick bool) []scenarioSpec {
 	return out
 }
 
-// campaign runs a fault-free multi-core scenario to record golden signature
-// and bus traffic, then fault-simulates the core under test against the
-// replayed traffic.
-type campaign struct {
-	underTest int
-	cfg       soc.Config // configuration for the golden (full) run
-	jobs      [soc.NumCores]*core.CoreJob
-	opts      Options
-}
-
-func newCampaign(o Options, underTest int, cfg soc.Config, jobs [soc.NumCores]*core.CoreJob) campaign {
-	return campaign{underTest: underTest, cfg: cfg, jobs: jobs, opts: o}
-}
-
-func (c campaign) run(sites []fault.Site) (fault.Report, error) {
-	// Golden full-system run with traffic recording.
-	var rec *bus.Recorder
-	results, _, err := core.RunJobsSetup(c.cfg, c.jobs, maxRunCycles, nil, func(s *soc.SoC) {
-		rec = s.AttachRecorder(c.underTest)
-	})
+// runCampaign records the golden run and bus traffic of the multi-core
+// scenario (cfg, jobs), then fault-simulates core id against the replayed
+// traffic. Fault detection compares faulty runs against the golden of the
+// same replayed environment, so the campaign is internally consistent even
+// though replayed arbitration can differ slightly from the full system
+// (replay masters occupy different round-robin slots).
+func runCampaign(o Options, id int, cfg soc.Config, jobs [soc.NumCores]*core.CoreJob, sites []fault.Site) (fault.Report, error) {
+	replayCfg, budget, err := core.RecordReplay(cfg, jobs, id)
 	if err != nil {
-		return fault.Report{}, err
+		return fault.Report{}, fmt.Errorf("experiments: %w", err)
 	}
-	golden := results[c.underTest]
-	if !golden.OK {
-		return fault.Report{}, fmt.Errorf("experiments: golden run failed on core %d", c.underTest)
-	}
-	traffic := rec.EventsByMaster()
-	budget := golden.Cycles*8 + 20_000
-
-	// Per-fault environment: only the core under test simulated, the other
-	// cores' bus pressure replayed.
-	cfg := c.cfg
-	cfg.Replay = traffic
-
-	opt := core.CampaignOptions{Workers: c.opts.Workers, Reference: c.opts.Reference,
-		CheckpointInterval: c.opts.CheckpointInterval,
-		Telemetry:          c.opts.Telemetry, Events: c.opts.Events,
-		Progress: c.opts.Progress, ProgressWriter: c.opts.ProgressWriter}
-	if c.opts.JournalDir != "" {
+	opt := core.CampaignOptions{Workers: o.Workers, Reference: o.Reference,
+		CheckpointInterval: o.CheckpointInterval,
+		Telemetry:          o.Telemetry, Events: o.Events, Progress: o.Progress}
+	if o.JournalDir != "" {
 		// One content-addressed journal per campaign: resuming an
 		// interrupted sweep settles finished campaigns entirely from disk.
-		header, err := core.CampaignFingerprint(cfg, c.underTest, c.jobs[c.underTest], sites, budget)
+		header, err := core.CampaignFingerprint(replayCfg, id, jobs[id], sites, budget)
 		if err != nil {
 			return fault.Report{}, err
 		}
-		opt.Journal = filepath.Join(c.opts.JournalDir, "campaign-"+header.Key()+".journal")
+		opt.Journal = filepath.Join(o.JournalDir, "campaign-"+header.Key()+".journal")
 		opt.Resume = true
 	}
-	rep, err := core.RunCampaignOpts(cfg, c.underTest, c.jobs[c.underTest], sites, budget, opt)
+	rep, err := core.RunCampaignOpts(replayCfg, id, jobs[id], sites, budget, opt)
 	if err != nil {
 		return fault.Report{}, err
 	}
 	if !rep.GoldenOK {
-		return rep, fmt.Errorf("experiments: replay golden run failed on core %d", c.underTest)
+		return rep, fmt.Errorf("experiments: replay golden run failed on core %d", id)
 	}
-	// Note: fault detection compares faulty runs against the golden of the
-	// same replayed environment, so the campaign is internally consistent
-	// even though replayed arbitration can differ slightly from the full
-	// system (replay masters occupy different round-robin slots).
 	return rep, nil
 }
 
@@ -324,9 +291,8 @@ func TableII(o Options) ([]TableIIRow, error) {
 			if id >= spec.active {
 				continue // core not active in this scenario
 			}
-			c := newCampaign(o, id, baseConfig(spec.active, false),
-				forwardingJobs(id, spec, func(int) core.Strategy { return core.Plain{} }, false))
-			rep, err := c.run(sites)
+			rep, err := runCampaign(o, id, baseConfig(spec.active, false),
+				forwardingJobs(id, spec, func(int) core.Strategy { return core.Plain{} }, false), sites)
 			if err != nil {
 				return nil, fmt.Errorf("core %s: %w", coreName(id), err)
 			}
@@ -337,10 +303,9 @@ func TableII(o Options) ([]TableIIRow, error) {
 		// With the cache-based strategy (still no PCs, matching the
 		// paper's column): one representative multi-core scenario.
 		spec := scenarioSpec{active: 3, pos: soc.CodeLow, pad: 0}
-		c := newCampaign(o, id, baseConfig(3, true),
+		cacheRep, err := runCampaign(o, id, baseConfig(3, true),
 			forwardingJobs(id, spec,
-				func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, false))
-		cacheRep, err := c.run(sites)
+				func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, false), sites)
 		if err != nil {
 			return nil, fmt.Errorf("core %s cached: %w", coreName(id), err)
 		}

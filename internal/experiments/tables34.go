@@ -81,18 +81,16 @@ func TableIII(o Options) ([]TableIIIRow, error) {
 			}
 
 			// Single-core, no caches, plain execution.
-			single := newCampaign(o, id, singleCoreConfig(id, false),
-				moduleJobs(id, 1, m.mk, func(int) core.Strategy { return core.Plain{} }))
-			singleRep, err := single.run(sites)
+			singleRep, err := runCampaign(o, id, singleCoreConfig(id, false),
+				moduleJobs(id, 1, m.mk, func(int) core.Strategy { return core.Plain{} }), sites)
 			if err != nil {
 				return nil, fmt.Errorf("table III %s core %s single: %w", m.name, coreName(id), err)
 			}
 
 			// Multi-core, cache-based.
-			multi := newCampaign(o, id, baseConfig(3, true),
+			multiRep, err := runCampaign(o, id, baseConfig(3, true),
 				moduleJobs(id, 3, m.mk,
-					func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }))
-			multiRep, err := multi.run(sites)
+					func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }), sites)
 			if err != nil {
 				return nil, fmt.Errorf("table III %s core %s multi: %w", m.name, coreName(id), err)
 			}

@@ -16,7 +16,7 @@ import (
 // given injection plane and reports the final test signature plus whether
 // the run completed cleanly (halted without wedging or timing out).
 // Implementations passed to Simulate must be safe for concurrent calls: the
-// campaign fans out over worker goroutines. SimulateWith instead gives each
+// campaign fans out over worker goroutines. SimulateOpts instead gives each
 // worker its own RunFunc, so a runner may own mutable state (a reusable
 // simulator arena).
 type RunFunc func(p Plane) (sig uint32, ok bool)
@@ -153,18 +153,6 @@ func Simulate(sites []Site, run RunFunc, workers int) Report {
 	for i := range runners {
 		runners[i] = run
 	}
-	return SimulateWith(sites, runners)
-}
-
-// SimulateWith is Simulate with one runner per worker goroutine: runner w
-// serves every site that worker claims, so a runner may own heavyweight
-// mutable state (one long-lived SoC arena per worker). The golden reference
-// comes from runners[0](None) on the calling goroutine before the workers
-// start. Sites are claimed through a shared atomic cursor — there is no
-// producer goroutine to serialise with — and each worker writes only its
-// claimed slots of Results, with the WaitGroup providing the final
-// happens-before edge to the caller.
-func SimulateWith(sites []Site, runners []RunFunc) Report {
 	rep, _ := SimulateOpts(sites, runners, SimOptions{})
 	return rep
 }
@@ -272,11 +260,18 @@ func safeRun(run RunFunc, p Plane) (sig uint32, ok, panicked bool, msg, stack st
 	return
 }
 
-// SimulateOpts is the full-control campaign dispatcher behind Simulate and
-// SimulateWith. Every run — golden included — executes behind a recover
-// boundary: a panicking fault run settles the canonical Panicked verdict
-// for its site and the pool moves on; a panicking golden run yields
-// GoldenOK=false. The only errors are journal I/O or consistency failures,
+// SimulateOpts is the full-control campaign dispatcher behind Simulate,
+// with one runner per worker goroutine: runner w serves every site that
+// worker claims, so a runner may own heavyweight mutable state (one
+// long-lived SoC arena per worker). The golden reference comes from
+// runners[0](None) on the calling goroutine before the workers start. Sites
+// are claimed through a shared atomic cursor — there is no producer
+// goroutine to serialise with — and each worker writes only its claimed
+// slots of Results, with the WaitGroup providing the final happens-before
+// edge to the caller. Every run — golden included — executes behind a
+// recover boundary: a panicking fault run settles the canonical Panicked
+// verdict for its site and the pool moves on; a panicking golden run
+// yields GoldenOK=false. The only errors are journal I/O or consistency failures,
 // reported after the campaign state they interrupt is already in rep.
 func SimulateOpts(sites []Site, runners []RunFunc, opt SimOptions) (Report, error) {
 	j := opt.Journal

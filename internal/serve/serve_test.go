@@ -126,6 +126,35 @@ func TestSpecBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpecBuildPinned pins the budget, universe size and content address of
+// a few specs as literals. A journal store addresses its files by
+// Header.Key(), so any drift in the golden run, the replay recording or the
+// budget policy would silently orphan every existing store; a second build
+// in the same process (TestSpecBuildDeterministic) cannot see such drift.
+func TestSpecBuildPinned(t *testing.T) {
+	cases := []struct {
+		spec   Spec
+		budget int64
+		sites  int
+		key    string
+	}{
+		{Spec{}, 33656, 1176, "61650ec2eb518733"},
+		{Spec{Strategy: "plain", Multicore: true, BitStep: 8}, 50784, 168, "a7e04ea9b53d1be0"},
+		{Spec{Faults: "transition"}, 33656, 1152, "11363f8eace04b7d"},
+		{Spec{Routine: "hdcu", Core: 2, Strategy: "tcm", Multicore: true, BitStep: 4}, 230224, 316, "72f4cfae3718cbe7"},
+	}
+	for _, tc := range cases {
+		c, err := tc.spec.Build()
+		if err != nil {
+			t.Fatalf("%+v: Build: %v", tc.spec, err)
+		}
+		if c.Budget != tc.budget || len(c.Sites) != tc.sites || c.Header.Key() != tc.key {
+			t.Errorf("%+v: budget %d, %d sites, key %s; want %d, %d, %s",
+				tc.spec, c.Budget, len(c.Sites), c.Header.Key(), tc.budget, tc.sites, tc.key)
+		}
+	}
+}
+
 func TestSpecNormalizeRejects(t *testing.T) {
 	cases := []Spec{
 		{Core: 7},

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -89,7 +88,8 @@ type Campaign struct {
 	Job *core.CoreJob
 	// Sites is the ordered fault universe.
 	Sites []fault.Site
-	// Budget is the per-run cycle budget (8x the golden run plus slack).
+	// Budget is the per-run cycle budget derived from the golden run (see
+	// core.RecordReplay).
 	Budget int64
 	// Header is the campaign's content address
 	// (core.CampaignFingerprint over program, universe and environment).
@@ -178,21 +178,10 @@ func (s Spec) Build() (*Campaign, error) {
 		}
 	}
 
-	// Golden run with traffic recording.
-	var rec *bus.Recorder
-	results, _, err := core.RunJobsSetup(cfg, jobs, 10_000_000, nil, func(s *soc.SoC) {
-		rec = s.AttachRecorder(spec.Core)
-	})
+	replayCfg, budget, err := core.RecordReplay(cfg, jobs, spec.Core)
 	if err != nil {
-		return nil, fmt.Errorf("serve: golden run: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	golden := results[spec.Core]
-	if !golden.OK {
-		return nil, fmt.Errorf("serve: golden run failed on core %d", spec.Core)
-	}
-	budget := golden.Cycles*8 + 20_000
-	replayCfg := cfg
-	replayCfg.Replay = rec.EventsByMaster()
 
 	header, err := core.CampaignFingerprint(replayCfg, spec.Core, jobs[spec.Core], sites, budget)
 	if err != nil {

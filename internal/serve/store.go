@@ -30,9 +30,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the journal path addressing campaign h.
 func (s *Store) Path(h fault.JournalHeader) string {
 	return filepath.Join(s.dir, h.Key()+".journal")
