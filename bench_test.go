@@ -127,8 +127,8 @@ func BenchmarkFigure2(b *testing.B) {
 // (the paper's future-work note implemented). Campaigns run with golden-run
 // checkpointing on by default: Transition runs skip the golden prefix
 // before their site's first activating edge, never-activating sites are
-// served the golden verdict outright, and exactly-re-converged runs jump
-// over provably-golden windows.
+// served the golden verdict outright, and every other site takes the full
+// replay.
 func BenchmarkDelayFaultExtension(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.DelayFaults(quick)

@@ -13,8 +13,10 @@
 // Both modes keep one long-lived SoC per worker (program loaded once, each
 // fault run is reset + plane-swap). The default "arena" mode terminates
 // runs early once they observably diverge from the golden trace and stop
-// making progress, and fast-forwards transition runs over golden
-// checkpoints; "reference" simulates every run to the full watchdog budget
+// making progress, and serves each transition site by one of three paths:
+// the golden verdict outright when its fault never activates, a restore
+// of the last golden checkpoint before its first activating edge, or the
+// full replay; "reference" simulates every run to the full watchdog budget
 // with no shortcuts — the semantics the optimized mode is differentially
 // pinned against. Both modes produce identical reports.
 package main

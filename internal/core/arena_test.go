@@ -135,3 +135,34 @@ func TestArenaFaultyRunMatchesFreshSoC(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaRunAllocationFree pins the Arena doc's claim that the per-run
+// hot path is allocation-free: once warmed up, a checkpointed arena serves
+// every transition site of the uncached and the cached single-core
+// environment — full replays, checkpoint restores and golden shortcuts —
+// without a single heap allocation.
+func TestArenaRunAllocationFree(t *testing.T) {
+	sites := fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 1})
+	planes := make([]fault.Plane, len(sites))
+	for i, s := range sites {
+		planes[i] = fault.PlaneFor(s)
+	}
+	for _, cached := range []bool{false, true} {
+		replayCfg, job, budget := arenaEnv(t, 1, cached)
+		a, err := NewArena(replayCfg, 0, job, budget, ArenaOptions{CheckpointInterval: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runAll := func() {
+			for _, p := range planes {
+				a.Run(p)
+			}
+		}
+		// AllocsPerRun calls runAll once untimed first: that pass warms up
+		// the fetch queues, decode cache and dirty-page lists.
+		if n := testing.AllocsPerRun(1, runAll); n != 0 {
+			t.Errorf("cached=%v: %v allocations serving %d transition sites, want 0 (stats %+v)",
+				cached, n, len(planes), a.Stats())
+		}
+	}
+}

@@ -76,8 +76,8 @@ func TestArenaCheckpointRestoreMatchesSteppedSoC(t *testing.T) {
 
 // TestArenaCheckpointedTransitionRunsMatchFreshSoC pins the checkpointed
 // fast path against rebuild-per-fault semantics: for a sample of transition sites, a
-// checkpointed arena run (golden-served, checkpoint-restored or
-// fast-forwarded) must reproduce the verdict of a freshly built SoC
+// checkpointed arena run (golden-served, checkpoint-restored or fully
+// replayed) must reproduce the verdict of a freshly built SoC
 // simulating the same fault with the full budget.
 func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 	replayCfg, job, budget := arenaEnv(t, 2, false)

@@ -173,11 +173,11 @@ func TestCompositeResetAndFlatten(t *testing.T) {
 		t.Fatalf("nested composite not flattened: %d parts", len(c.Parts))
 	}
 	tr.MuxData(0, 0, PathEXL1, ^uint64(0))
-	if _, seen := tr.History(); !seen {
+	if !tr.prevSeen {
 		t.Fatal("transition part recorded no history; test is vacuous")
 	}
 	ResetPlaneState(c)
-	if _, seen := tr.History(); seen {
+	if tr.prevSeen {
 		t.Error("ResetPlaneState(composite) left stale edge history on a component")
 	}
 }

@@ -69,14 +69,6 @@ func (f *Transition) SeedHistory(prev uint64, seen bool) {
 	f.prevSeen = seen
 }
 
-// History returns the plane's current edge history (the line value it last
-// observed, and whether it observed one at all) — the counterpart of
-// SeedHistory, used to compare a run's plane state against a golden
-// checkpoint's recorded history.
-func (f *Transition) History() (prev uint64, seen bool) {
-	return f.prev, f.prevSeen
-}
-
 // MuxData implements Plane: on the faulty (lane, operand, path) line, a
 // delayed edge delivers the previous bit value once. Like Single.MuxData,
 // only a forwarding-unit mux-data site injects here — a site for another

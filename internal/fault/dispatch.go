@@ -18,8 +18,11 @@ const (
 	// DispatchCheckpoint is a run started from a golden checkpoint before
 	// the site's first activating edge.
 	DispatchCheckpoint
-	// DispatchFastForward is a run cut short (or jumped forward) by exact
-	// re-convergence with the golden run.
+	// DispatchFastForward is a reserved slot that no path produces: the
+	// re-convergence fast-forward it counted was deleted because it cost
+	// more allocation than it saved time. The slot keeps its index and
+	// "fast_forward" name so per-path metric names and the benchmark's
+	// per-path report stay stable; its count is always zero.
 	DispatchFastForward
 	// DispatchGolden is a site served the golden verdict outright because
 	// its fault never activates.
@@ -59,9 +62,9 @@ func (d DispatchStats) Total() int64 {
 }
 
 // Shortcuts returns the sites that avoided a full replay (checkpoint
-// restore, fast forward, or golden shortcut).
+// restore or golden shortcut).
 func (d DispatchStats) Shortcuts() int64 {
-	return d[DispatchCheckpoint] + d[DispatchFastForward] + d[DispatchGolden]
+	return d[DispatchCheckpoint] + d[DispatchGolden]
 }
 
 // Add accumulates o into d (per-arena stats folding into a campaign
@@ -91,7 +94,6 @@ func (d DispatchStats) String() string {
 	if total > 0 {
 		pct = 100 * float64(d.Shortcuts()) / float64(total)
 	}
-	return fmt.Sprintf("dispatch: %d full-replay, %d checkpoint, %d fast-forward, %d golden-shortcut, %d fallback (%.1f%% shortcut)",
-		d[DispatchFullReplay], d[DispatchCheckpoint], d[DispatchFastForward],
-		d[DispatchGolden], d[DispatchFallback], pct)
+	return fmt.Sprintf("dispatch: %d full-replay, %d checkpoint, %d golden-shortcut, %d fallback (%.1f%% shortcut)",
+		d[DispatchFullReplay], d[DispatchCheckpoint], d[DispatchGolden], d[DispatchFallback], pct)
 }

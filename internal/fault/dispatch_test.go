@@ -31,14 +31,14 @@ func TestDispatchStatsArithmetic(t *testing.T) {
 	var d DispatchStats
 	d[DispatchFullReplay] = 3
 	d[DispatchCheckpoint] = 10
-	d[DispatchFastForward] = 2
+	d[DispatchFastForward] = 2 // reserved slot: totalled, never a shortcut
 	d[DispatchGolden] = 4
 	d[DispatchFallback] = 1
 	if got := d.Total(); got != 20 {
 		t.Errorf("Total = %d, want 20", got)
 	}
-	if got := d.Shortcuts(); got != 16 {
-		t.Errorf("Shortcuts = %d, want 16", got)
+	if got := d.Shortcuts(); got != 14 {
+		t.Errorf("Shortcuts = %d, want 14", got)
 	}
 	var sum DispatchStats
 	sum.Add(d)
@@ -48,12 +48,15 @@ func TestDispatchStatsArithmetic(t *testing.T) {
 	}
 	s := d.String()
 	for _, frag := range []string{
-		"3 full-replay", "10 checkpoint", "2 fast-forward",
-		"4 golden-shortcut", "1 fallback", "80.0% shortcut",
+		"3 full-replay", "10 checkpoint", "4 golden-shortcut",
+		"1 fallback", "70.0% shortcut",
 	} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("DispatchStats.String misses %q:\n%s", frag, s)
 		}
+	}
+	if strings.Contains(s, "fast-forward") {
+		t.Errorf("DispatchStats.String renders the reserved fast-forward slot:\n%s", s)
 	}
 	if s := (DispatchStats{}).String(); !strings.Contains(s, "0.0% shortcut") {
 		t.Errorf("empty stats should render a 0%% rate, got %s", s)

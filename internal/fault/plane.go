@@ -90,10 +90,15 @@ func AffectsCounterInc(p Plane) bool {
 // ResetPlaneState clears any per-run state plane p carries — a
 // Transition's edge history, recursively through Composite components.
 // Stateless planes are untouched. Engines call it before serving a fresh
-// run from cycle 0 with a plane object that may already have executed.
+// run from cycle 0 with a plane object that may already have executed. It
+// switches on the concrete stateful types: an assertion to an interface
+// type would allocate whenever the runtime grows its assertion cache.
 func ResetPlaneState(p Plane) {
-	if r, ok := p.(interface{ ResetState() }); ok {
-		r.ResetState()
+	switch q := p.(type) {
+	case *Transition:
+		q.ResetState()
+	case *Composite:
+		q.ResetState()
 	}
 }
 

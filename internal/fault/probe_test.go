@@ -36,16 +36,16 @@ func TestTransitionIgnoresNonForwardingSite(t *testing.T) {
 func TestTransitionHistoryRoundTrip(t *testing.T) {
 	s := Site{Unit: UnitFwd, Signal: SigMuxData, Kind: KindSlowFall, Path: PathMEML0, Bit: 1}
 	f := NewTransition(s)
-	if prev, seen := f.History(); prev != 0 || seen {
-		t.Fatalf("fresh plane history = (%#x, %v), want (0, false)", prev, seen)
+	if f.prev != 0 || f.prevSeen {
+		t.Fatalf("fresh plane history = (%#x, %v), want (0, false)", f.prev, f.prevSeen)
 	}
 	f.MuxData(s.Lane, s.Operand, s.Path, 0xAB)
-	if prev, seen := f.History(); prev != 0xAB || !seen {
-		t.Fatalf("history after one use = (%#x, %v), want (0xAB, true)", prev, seen)
+	if f.prev != 0xAB || !f.prevSeen {
+		t.Fatalf("history after one use = (%#x, %v), want (0xAB, true)", f.prev, f.prevSeen)
 	}
 	f.ResetState()
-	if prev, seen := f.History(); prev != 0 || seen {
-		t.Fatalf("history after ResetState = (%#x, %v), want (0, false)", prev, seen)
+	if f.prev != 0 || f.prevSeen {
+		t.Fatalf("history after ResetState = (%#x, %v), want (0, false)", f.prev, f.prevSeen)
 	}
 	f.SeedHistory(0x2, true)
 	// Seeded history drives the next edge decision: 1 -> 0 on bit 1 is a
@@ -80,25 +80,8 @@ func TestMuxProbeActivationCycles(t *testing.T) {
 	if got := p.FirstActivation(rise); got != 20 {
 		t.Errorf("FirstActivation(rise) = %d, want 20", got)
 	}
-	if got := p.LastActivation(rise); got != 50 {
-		t.Errorf("LastActivation(rise) = %d, want 50", got)
-	}
 	if got := p.FirstActivation(fall); got != 40 {
 		t.Errorf("FirstActivation(fall) = %d, want 40", got)
-	}
-	if got := p.LastActivation(fall); got != 60 {
-		t.Errorf("LastActivation(fall) = %d, want 60", got)
-	}
-	for _, tc := range []struct {
-		after int64
-		want  int64
-	}{{0, 20}, {20, 50}, {49, 50}, {50, -1}} {
-		if got := p.NextActivation(rise, tc.after); got != tc.want {
-			t.Errorf("NextActivation(rise, %d) = %d, want %d", tc.after, got, tc.want)
-		}
-	}
-	if got := p.NextActivation(fall, 40); got != 60 {
-		t.Errorf("NextActivation(fall, 40) = %d, want 60", got)
 	}
 
 	// A bit that never toggles on this line never activates.
@@ -106,9 +89,6 @@ func TestMuxProbeActivationCycles(t *testing.T) {
 	idle.Bit = 7
 	if got := p.FirstActivation(idle); got != -1 {
 		t.Errorf("FirstActivation(idle bit) = %d, want -1", got)
-	}
-	if got := p.NextActivation(idle, 0); got != -1 {
-		t.Errorf("NextActivation(idle bit) = %d, want -1", got)
 	}
 	// Untouched lines never activate either.
 	other := rise
@@ -124,19 +104,10 @@ func TestMuxProbeSiteConventions(t *testing.T) {
 	if got := p.FirstActivation(stuck); got != 0 {
 		t.Errorf("FirstActivation(stuck-at) = %d, want 0 (always live)", got)
 	}
-	if got := p.LastActivation(stuck); got != 0 {
-		t.Errorf("LastActivation(stuck-at) = %d, want 0", got)
-	}
-	if got := p.NextActivation(stuck, 100); got != 0 {
-		t.Errorf("NextActivation(stuck-at) = %d, want 0", got)
-	}
 	// A Transition for a site its MuxData guard filters never injects.
 	foreign := Site{Unit: UnitICU, Signal: SigEvLine, Kind: KindSlowRise, Path: 1}
 	if got := p.FirstActivation(foreign); got != -1 {
 		t.Errorf("FirstActivation(foreign transition) = %d, want -1", got)
-	}
-	if got := p.LastActivation(foreign); got != -1 {
-		t.Errorf("LastActivation(foreign transition) = %d, want -1", got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Binary encoding. Every instruction is one 32-bit word:
 //
@@ -135,10 +138,22 @@ func MustEncode(i Inst) uint32 {
 	return w
 }
 
+// Decode errors, one per class of undecodable word. They are fixed values
+// so rejecting a word costs no allocation: the pipeline's decode cache
+// re-decodes invalid words (typically prefetched past a program's end) on
+// every conflict miss.
+var (
+	ErrInvalidFunct     = errors.New("isa: invalid R-type funct")
+	ErrNotRType         = errors.New("isa: funct is not an R-type op")
+	ErrInvalidOpcode    = errors.New("isa: invalid major opcode")
+	ErrMisalignedJump   = errors.New("isa: misaligned jump offset")
+	ErrMisalignedBranch = errors.New("isa: misaligned branch offset")
+)
+
 // Decode converts a 32-bit memory word back into an instruction. Words that
-// do not correspond to a defined operation decode to Op == OpInvalid with a
-// non-nil error; the pipeline treats executing such a word as a fatal
-// program error.
+// do not correspond to a defined operation decode to Op == OpInvalid with
+// one of the Err* decode errors; the pipeline treats executing such a word
+// as a fatal program error.
 func Decode(w uint32) (Inst, error) {
 	mj := w >> 26
 	if mj == majorRType {
@@ -146,14 +161,14 @@ func Decode(w uint32) (Inst, error) {
 		// rejected before the uint8 conversion, or garbage in the upper
 		// funct bits would silently alias onto valid operations.
 		if w&0x7FF >= uint32(opMax) {
-			return Inst{}, fmt.Errorf("isa: invalid R-type funct %d", w&0x7FF)
+			return Inst{}, ErrInvalidFunct
 		}
 		funct := Op(w & 0x7FF)
 		if !funct.Valid() {
-			return Inst{}, fmt.Errorf("isa: invalid R-type funct %d", uint32(funct))
+			return Inst{}, ErrInvalidFunct
 		}
 		if isIType[funct] {
-			return Inst{}, fmt.Errorf("isa: funct %v is not an R-type op", funct)
+			return Inst{}, ErrNotRType
 		}
 		i := Inst{
 			Op:  funct,
@@ -169,12 +184,12 @@ func Decode(w uint32) (Inst, error) {
 	}
 	op := majorOp[mj]
 	if op == OpInvalid {
-		return Inst{}, fmt.Errorf("isa: invalid major opcode %d", mj)
+		return Inst{}, ErrInvalidOpcode
 	}
 	if FormatOf(op) == FmtJump {
 		off := int32(w<<6) >> 6 // sign-extend 26 bits
 		if off%InstBytes != 0 {
-			return Inst{}, fmt.Errorf("isa: misaligned jump offset %d", off)
+			return Inst{}, ErrMisalignedJump
 		}
 		return Inst{Op: op, Imm: off}, nil
 	}
@@ -195,7 +210,7 @@ func Decode(w uint32) (Inst, error) {
 		i.Imm = int32(int16(imm))
 	}
 	if FormatOf(op) == FmtBranch && i.Imm%InstBytes != 0 {
-		return Inst{}, fmt.Errorf("isa: misaligned branch offset %d", i.Imm)
+		return Inst{}, ErrMisalignedBranch
 	}
 	return i, nil
 }

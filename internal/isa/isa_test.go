@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,16 +158,27 @@ func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	bad := []uint32{
-		0xFFFFFFFF,                          // major 63 undefined
-		uint32(7) << 26,                     // major 7 undefined
-		uint32(majorRType) | 0,              // funct 0 = OpInvalid
-		uint32(majorRType) | uint32(OpADDI), // I-type op as R funct
-		uint32(0x3F) << 26,
+	bad := []struct {
+		w    uint32
+		want error
+	}{
+		{0xFFFFFFFF, ErrInvalidOpcode},                     // major 63 undefined
+		{uint32(7) << 26, ErrInvalidOpcode},                // major 7 undefined
+		{uint32(0x3F) << 26, ErrInvalidOpcode},             // major 63, zero payload
+		{uint32(majorRType) | 0, ErrInvalidFunct},          // funct 0 = OpInvalid
+		{uint32(majorRType) | 0x7FF, ErrInvalidFunct},      // funct beyond the op range
+		{uint32(majorRType) | uint32(OpADDI), ErrNotRType}, // I-type op as R funct
+		{MustEncode(Inst{Op: OpJ, Imm: 4}) + 2, ErrMisalignedJump},
+		{MustEncode(Inst{Op: OpBEQ, Rs1: 1, Rs2: 1, Imm: 4}) + 2, ErrMisalignedBranch},
 	}
-	for _, w := range bad {
-		if _, err := Decode(w); err == nil {
-			t.Errorf("Decode(0x%08x) accepted garbage", w)
+	for _, tc := range bad {
+		if _, err := Decode(tc.w); !errors.Is(err, tc.want) {
+			t.Errorf("Decode(0x%08x) = %v, want %v", tc.w, err, tc.want)
+		}
+		// The pipeline's decode cache re-decodes invalid words on every
+		// conflict miss, so rejecting one must not allocate.
+		if n := testing.AllocsPerRun(10, func() { Decode(tc.w) }); n != 0 {
+			t.Errorf("Decode(0x%08x) allocates %v times, want 0", tc.w, n)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package soc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/archint"
 	"repro/internal/asm"
@@ -147,7 +147,7 @@ func buildCore(id int, setup CoreSetup, b *bus.Bus) *CoreUnit {
 	iport := b.PortFor(imemMaster(id))
 	dport := b.PortFor(dmemMaster(id))
 
-	var ifAccess, dAccess cache.Client
+	var ifAccess, dAccess routedClient
 	if setup.CachesOn {
 		u.ICache = cache.New(cache.ICacheConfig())
 		u.DCache = cache.New(cache.DCacheConfig(setup.WriteAlloc))
@@ -210,11 +210,13 @@ func (s *SoC) Start(id int, entry uint32) {
 	u := s.Cores[id]
 	u.Core.Reset(entry)
 	if !u.started && u.setup.Active {
-		// Keep the stepping list in core-ID order regardless of Start order.
-		s.running = append(s.running, u)
-		sort.Slice(s.running, func(i, j int) bool {
-			return s.running[i].Core.Config().CoreID < s.running[j].Core.Config().CoreID
-		})
+		// Keep the stepping list in core-ID order regardless of Start order;
+		// inserting in place keeps a full replay's Reset+Start allocation-free.
+		i := 0
+		for i < len(s.running) && s.running[i].Core.Config().CoreID < u.Core.Config().CoreID {
+			i++
+		}
+		s.running = slices.Insert(s.running, i, u)
 	}
 	u.started = true
 }
@@ -391,24 +393,32 @@ func (s *SoC) ActiveCount() int {
 	return n
 }
 
+// routedClient is a memory client the router both routes to and
+// checkpoints. Holding clients under this static type keeps Save/Load free
+// of interface type assertions, whose runtime caches allocate.
+type routedClient interface {
+	cache.Client
+	cache.Stateful
+}
+
 // router dispatches memory accesses by address region: the core-private
 // TCMs bypass the bus entirely; accesses to the uncached SRAM alias bypass
 // the cache; everything else goes to the default path (cache controller or
 // uncached bus client).
 type router struct {
-	tcm      cache.Client
+	tcm      routedClient
 	tcmBase  uint32
 	tcmSize  uint32
-	tcm2     cache.Client // data-side view of the ITCM (for TCM copy loops)
+	tcm2     routedClient // data-side view of the ITCM (for TCM copy loops)
 	tcm2Base uint32
-	uncached cache.Client // SRAM uncached-alias path (data side only)
-	flash    cache.Client // read-only flash window, line-buffered (data side)
-	def      cache.Client
+	uncached routedClient // SRAM uncached-alias path (data side only)
+	flash    routedClient // read-only flash window, line-buffered (data side)
+	def      routedClient
 
-	cur cache.Client
+	cur routedClient
 }
 
-func (r *router) pick(addr uint32, write bool) cache.Client {
+func (r *router) pick(addr uint32, write bool) routedClient {
 	if addr >= r.tcmBase && addr < r.tcmBase+r.tcmSize {
 		return r.tcm
 	}
@@ -454,7 +464,7 @@ func (r *router) TryAbort() bool {
 // Reset implements cache.Client: resets every routed client and drops the
 // in-flight selection.
 func (r *router) Reset() {
-	for _, c := range []cache.Client{r.tcm, r.tcm2, r.uncached, r.flash, r.def} {
+	for _, c := range r.clientList() {
 		if c != nil {
 			c.Reset()
 		}

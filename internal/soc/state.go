@@ -47,8 +47,8 @@ type routerState struct {
 
 // clientList returns the routed clients in their fixed positional order;
 // entries are nil for paths the router does not have.
-func (r *router) clientList() [5]cache.Client {
-	return [5]cache.Client{r.tcm, r.tcm2, r.uncached, r.flash, r.def}
+func (r *router) clientList() [5]routedClient {
+	return [5]routedClient{r.tcm, r.tcm2, r.uncached, r.flash, r.def}
 }
 
 func (r *router) save(st *routerState) {
@@ -57,7 +57,7 @@ func (r *router) save(st *routerState) {
 		if c == nil {
 			continue
 		}
-		st.clients[i] = c.(cache.Stateful).Save()
+		st.clients[i] = c.Save()
 		if c == r.cur {
 			st.cur = int8(i)
 		}
@@ -70,7 +70,7 @@ func (r *router) load(st *routerState) {
 		if c == nil {
 			continue
 		}
-		c.(cache.Stateful).Load(st.clients[i])
+		c.Load(st.clients[i])
 		if int8(i) == st.cur {
 			r.cur = c
 		}
@@ -145,7 +145,7 @@ func (s *SoC) Restore(st *State) {
 		u.started = cs.started
 		if cs.started && u.setup.Active {
 			// Cores iterate in ID order, so the stepping list comes out in
-			// ID order without the sort Start does.
+			// ID order without the ordered insert Start does.
 			s.running = append(s.running, u)
 		}
 	}
