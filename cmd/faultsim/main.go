@@ -17,11 +17,10 @@ func main() {
 	routineName := flag.String("routine", "forwarding", "routine: forwarding, hdcu or icu")
 	coreID := flag.Int("core", 0, "core under test (0=A, 1=B, 2=C)")
 	strategyName := flag.String("strategy", "cache", "execution strategy: plain, cache or tcm")
-	multicore := flag.Bool("multicore", true, "replay 3-core bus contention around the core under test")
+	multicore := flag.Bool("multicore", true, "replay 3-core bus contention around the core under test (false: core 0 and the core under test only, so cores 1 and 2 still replay core 0's traffic)")
 	bitStep := flag.Int("bitstep", 1, "enumerate every Nth data bit (campaign reduction)")
 	faults := flag.String("faults", "stuckat", "fault model: stuckat or transition (forwarding routine only)")
 	engine := flag.String("engine", "arena", "campaign mode: arena (optimized: early exit, checkpointing) or reference (full budget, no shortcuts)")
-	ckptInterval := flag.Int64("checkpoint-interval", 0, "arena golden-run checkpoint interval in cycles (0 = auto, negative = off)")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	journal := flag.String("journal", "", "append-only verdict journal file (line-delimited JSON; survives SIGKILL)")
 	resume := flag.Bool("resume", false, "resume from -journal: skip settled sites and reproduce the bit-identical report")
@@ -84,14 +83,13 @@ func main() {
 
 	rep, err := core.RunCampaignOpts(c.Cfg, c.Core, c.Job, c.Sites,
 		c.Budget, core.CampaignOptions{
-			Workers:            *workers,
-			Reference:          *engine == "reference",
-			Journal:            *journal,
-			Resume:             *resume,
-			CheckpointInterval: *ckptInterval,
-			Telemetry:          reg,
-			Events:             events,
-			Progress:           *progress,
+			Workers:   *workers,
+			Reference: *engine == "reference",
+			Journal:   *journal,
+			Resume:    *resume,
+			Telemetry: reg,
+			Events:    events,
+			Progress:  *progress,
 		})
 	fail(err)
 	fail(events.Err())

@@ -122,8 +122,6 @@ type ArenaStats struct {
 	FallbackRuns int64
 	// CheckpointRuns counts runs started from a golden checkpoint.
 	CheckpointRuns int64
-	// GoldenServed counts sites served the golden verdict outright.
-	GoldenServed int64
 	// Dispatch classifies every site served through Run by the path that
 	// served it (fallback runs included).
 	Dispatch fault.DispatchStats
@@ -213,8 +211,8 @@ type ArenaOptions struct {
 	// checkpoint before the site's first activating edge instead of
 	// replaying the golden prefix from cycle 0 (sites that never activate
 	// are served the golden verdict outright). Stuck-at sites always take
-	// the full replay. Zero disables checkpointing; campaigns enable it by
-	// default (see CampaignOptions.CheckpointInterval).
+	// the full replay. Zero disables checkpointing; optimized campaigns
+	// use checkpointInterval(budget).
 	CheckpointInterval int64
 	// Plan, when enabled, drives a deterministic interrupt-event plan into
 	// the core under test on every run (golden capture included) — the
@@ -459,7 +457,6 @@ func (a *Arena) dispatch(p fault.Plane) (sig uint32, ok, cut bool) {
 	if act < 0 {
 		// The fault never modifies a delivered value: its run is
 		// bit-identical to the golden run, so serve the golden verdict.
-		a.st.GoldenServed++
 		a.path = fault.DispatchGolden
 		a.last = a.goldenRes
 		return a.goldenRes.Signature, a.goldenRes.OK, false
@@ -656,7 +653,7 @@ func (a *Arena) fallbackRun(p fault.Plane) (sig uint32, ok bool) {
 		plan := a.opt.Plan
 		setup = func(s *soc.SoC) { s.SetInjector(a.id, archint.NewInjector(plan)) }
 	}
-	res, _, err := RunJobsSetup(c, jobs, a.budget, nil, setup)
+	res, _, err := RunJobsSetup(c, jobs, a.budget, setup)
 	if err != nil {
 		panic(fmt.Sprintf("arena core%d: fallback run failed: %v", a.id, err))
 	}
@@ -692,14 +689,6 @@ type CampaignOptions struct {
 	// Resume loads Journal (which must carry this campaign's fingerprint)
 	// and skips its settled sites.
 	Resume bool
-	// CheckpointInterval controls golden-run checkpointing in the
-	// optimized mode: 0 picks an automatic interval from the cycle budget,
-	// negative disables checkpointing, positive is the exact interval in
-	// cycles. Checkpointing is a pure execution-strategy choice — reports
-	// are bit-identical either way — so it does not enter the campaign
-	// fingerprint and journals transfer across settings. Ignored in
-	// reference mode, which never checkpoints.
-	CheckpointInterval int64
 	// Telemetry, when non-nil, receives the campaign metrics: arena
 	// dispatch-path counters and latency histograms, settle rates and
 	// verdict-class counts, journal-append latency. All workers share the
@@ -718,26 +707,20 @@ type CampaignOptions struct {
 	// settles (passed through to fault.SimOptions.OnGolden).
 	OnGolden func(sig uint32, ok bool)
 	// Progress > 0 prints a progress line (settled/total, rate, ETA,
-	// shortcut rate) to ProgressWriter every interval, and emits progress
-	// events when Events is set.
+	// shortcut rate) to stderr every interval, and emits progress events
+	// when Events is set.
 	Progress time.Duration
-	// ProgressWriter receives the progress lines; nil means os.Stderr.
-	ProgressWriter io.Writer
 }
 
-// resolveCheckpointInterval maps the CampaignOptions knob to the
-// ArenaOptions value. The automatic interval targets a restore point
-// roughly every 1/8 of a golden run (the budget is 8x golden plus slack,
-// so budget/64 approximates goldenCycles/8), clamped below so snapshot
-// traffic stays negligible next to stepping on long runs and above so
-// short campaigns still get useful prefix-skip granularity.
-func resolveCheckpointInterval(opt int64, budget int64) int64 {
-	switch {
-	case opt < 0:
-		return 0
-	case opt > 0:
-		return opt
-	}
+// checkpointInterval is the golden-run checkpoint interval of an
+// optimized campaign. It targets a restore point roughly every 1/8 of a
+// golden run (the budget is 8x golden plus slack, so budget/64
+// approximates goldenCycles/8), clamped below so snapshot traffic stays
+// negligible next to stepping on long runs and above so short campaigns
+// still get useful prefix-skip granularity. Checkpointing is a pure
+// execution-strategy choice — reports are bit-identical either way — so
+// it does not enter the campaign fingerprint.
+func checkpointInterval(budget int64) int64 {
 	iv := budget / 64
 	if iv < 256 {
 		iv = 256
@@ -805,7 +788,7 @@ const (
 // then simulates core id alone against the replay.
 func RecordReplay(cfg soc.Config, jobs [soc.NumCores]*CoreJob, id int) (replay soc.Config, budget int64, err error) {
 	var rec *bus.Recorder
-	results, _, err := RunJobsSetup(cfg, jobs, goldenCap, nil, func(s *soc.SoC) {
+	results, _, err := RunJobsSetup(cfg, jobs, goldenCap, func(s *soc.SoC) {
 		rec = s.AttachRecorder(id)
 	})
 	if err != nil {
@@ -830,6 +813,17 @@ func RecordReplay(cfg soc.Config, jobs [soc.NumCores]*CoreJob, id int) (replay s
 // already settles — producing a report bit-identical to the uninterrupted
 // run.
 func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, opt CampaignOptions) (fault.Report, error) {
+	aOpt := ArenaOptions{CheckpointInterval: checkpointInterval(budget)}
+	if opt.Reference {
+		aOpt = ArenaOptions{NoEarlyExit: true}
+	}
+	return runCampaign(cfg, id, job, sites, budget, opt, aOpt)
+}
+
+// runCampaign is RunCampaignOpts with the arena mode given explicitly;
+// opt's sinks are attached to aOpt. Tests use it to pin checkpoint
+// settings other than the automatic interval.
+func runCampaign(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64, opt CampaignOptions, aOpt ArenaOptions) (fault.Report, error) {
 	reg := opt.Telemetry
 	if reg == nil && opt.Progress > 0 {
 		// The progress line computes rates from registry counters; give it
@@ -862,10 +856,6 @@ func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, b
 	// disabled); the remaining workers are clones sharing its golden
 	// trace, probe and checkpoints over their own SoCs, so campaign
 	// startup costs one golden-run latency total.
-	aOpt := ArenaOptions{CheckpointInterval: resolveCheckpointInterval(opt.CheckpointInterval, budget)}
-	if opt.Reference {
-		aOpt = ArenaOptions{NoEarlyExit: true}
-	}
 	aOpt.Telemetry = reg
 	aOpt.Events = opt.Events
 	proto, err := NewArena(cfg, id, job, budget, aOpt)
@@ -898,7 +888,7 @@ func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, b
 		})
 	}
 	start := time.Now()
-	prog := campaignProgress(reg, opt, len(sites), start)
+	prog := campaignProgress(reg, opt, os.Stderr, len(sites), start)
 	rep, err := fault.SimulateOpts(sites, runners, simOpt)
 	prog.Stop()
 	if err != nil {
@@ -918,16 +908,12 @@ func RunCampaignOpts(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, b
 	return rep, nil
 }
 
-// campaignProgress starts the periodic progress line (nil when disabled).
-// The tick reads only registry atomics — the worker arenas own all other
-// state — so it is safe alongside the running campaign.
-func campaignProgress(reg *telemetry.Registry, opt CampaignOptions, total int, start time.Time) *telemetry.Ticker {
+// campaignProgress starts the periodic progress line to w (nil when
+// disabled). The tick reads only registry atomics — the worker arenas own
+// all other state — so it is safe alongside the running campaign.
+func campaignProgress(reg *telemetry.Registry, opt CampaignOptions, w io.Writer, total int, start time.Time) *telemetry.Ticker {
 	if opt.Progress <= 0 {
 		return nil
-	}
-	w := opt.ProgressWriter
-	if w == nil {
-		w = os.Stderr
 	}
 	settled := reg.Counter("campaign_sites_settled_total")
 	detected := reg.Counter("campaign_verdict_detected_total")

@@ -11,7 +11,7 @@ import (
 // arenaEnv builds the replay environment the fault campaigns use: a full
 // multi-core golden run records the other cores' bus traffic, then the core
 // under test runs alone against the replayed contention.
-func arenaEnv(t *testing.T, active int, cached bool) (replayCfg soc.Config, job *CoreJob, budget int64) {
+func arenaEnv(t testing.TB, active int, cached bool) (replayCfg soc.Config, job *CoreJob, budget int64) {
 	t.Helper()
 	c := cfg(active, cached, true, [3]int{})
 	strat := func(int) Strategy {

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/isa"
@@ -103,7 +104,7 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 			t.Errorf("%v: arena signature %08x, fresh %08x", site, sig, fresh.Signature)
 		}
 	}
-	shortcuts := func() int64 { st := a.Stats(); return st.CheckpointRuns + st.GoldenServed }
+	shortcuts := func() int64 { st := a.Stats(); return st.CheckpointRuns + st.Dispatch[fault.DispatchGolden] }
 	if shortcuts() == 0 {
 		t.Error("checkpoint fast path never engaged across the sample")
 	}
@@ -121,5 +122,43 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 	}
 	if shortcuts() != before {
 		t.Error("stuck-at site took the checkpoint fast path")
+	}
+}
+
+// BenchmarkCheckpointVsPlainArena isolates golden-run checkpointing's own
+// contribution: the cached 3-core transition campaign on the optimized
+// arena with checkpointing off versus the automatic interval optimized
+// campaigns use. Both legs must settle identical verdicts; the
+// ckpt-vs-plain-arena ratio is bounded by the detected-fault runs, whose
+// diverged suffixes every sound engine must simulate.
+func BenchmarkCheckpointVsPlainArena(b *testing.B) {
+	replayCfg, job, budget := arenaEnv(b, 3, true)
+	sites := fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 2})
+	fault.SortSites(sites)
+	opt := CampaignOptions{Workers: 1}
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		plain, err := runCampaign(replayCfg, 0, job, sites, budget, opt, ArenaOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		plainT := time.Since(t0)
+
+		t0 = time.Now()
+		ck, err := runCampaign(replayCfg, 0, job, sites, budget, opt,
+			ArenaOptions{CheckpointInterval: checkpointInterval(budget)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ckT := time.Since(t0)
+
+		if !plain.SameVerdicts(ck) {
+			b.Fatal("checkpointed campaign verdicts differ from the plain arena")
+		}
+		if ck.Dispatch.Shortcuts() == 0 {
+			b.Fatal("checkpointed campaign took no shortcut; the comparison is vacuous")
+		}
+		b.ReportMetric(plainT.Seconds()/ckT.Seconds(), "ckpt-vs-plain-arena")
+		b.ReportMetric(ckT.Seconds(), "ckpt-s")
 	}
 }

@@ -38,8 +38,8 @@ func TestArenaNoEarlyExitMatchesLegacy(t *testing.T) {
 
 			// Optimized arena, checkpointing off: early exit and the
 			// divergence watchdogs must not change a single verdict.
-			plain, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
-				CampaignOptions{Workers: 2, CheckpointInterval: -1})
+			plain, err := runCampaign(replayCfg, 0, job, sites, budget,
+				CampaignOptions{Workers: 2}, ArenaOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,8 +49,8 @@ func TestArenaNoEarlyExitMatchesLegacy(t *testing.T) {
 
 			// Checkpointed leg: golden-run checkpoint restores and the
 			// golden-verdict shortcut are pure execution strategy.
-			ck, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
-				CampaignOptions{Workers: 2, CheckpointInterval: 512})
+			ck, err := runCampaign(replayCfg, 0, job, sites, budget,
+				CampaignOptions{Workers: 2}, ArenaOptions{CheckpointInterval: 512})
 			if err != nil {
 				t.Fatal(err)
 			}

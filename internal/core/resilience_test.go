@@ -275,8 +275,8 @@ func TestCampaignJournalResumeBitIdentical(t *testing.T) {
 	if err := os.WriteFile(plainPath, []byte(partial), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunCampaignOpts(replayCfg, 0, job, sites, budget,
-		CampaignOptions{Workers: 2, Journal: plainPath, Resume: true, CheckpointInterval: -1})
+	plain, err := runCampaign(replayCfg, 0, job, sites, budget,
+		CampaignOptions{Workers: 2, Journal: plainPath, Resume: true}, ArenaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

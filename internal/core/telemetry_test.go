@@ -169,8 +169,8 @@ func TestCampaignProgressTicker(t *testing.T) {
 	var stream bytes.Buffer
 	log := telemetry.NewEventLog(&stream)
 	tk := campaignProgress(reg, CampaignOptions{
-		Progress: 2 * time.Millisecond, ProgressWriter: &buf, Events: log,
-	}, 96, time.Now())
+		Progress: 2 * time.Millisecond, Events: log,
+	}, &buf, 96, time.Now())
 	deadline := time.Now().Add(5 * time.Second)
 	for buf.String() == "" && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

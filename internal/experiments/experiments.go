@@ -31,11 +31,6 @@ type Options struct {
 	// those files already settle — an interrupted table sweep re-runs only
 	// unsettled sites (see internal/fault's Journal).
 	JournalDir string
-	// CheckpointInterval controls golden-run checkpointing in the
-	// optimized campaign mode: 0 = automatic (derived from the cycle
-	// budget), negative = off, positive = interval in cycles. Reports are
-	// bit-identical across settings; see core.CampaignOptions.
-	CheckpointInterval int64
 	// Telemetry, when non-nil, receives every campaign's metrics plus a
 	// per-table span histogram (experiment_<table>_ns). Nil disables
 	// metrics at zero cost; see core.CampaignOptions.Telemetry.
@@ -203,8 +198,7 @@ func runCampaign(o Options, id int, cfg soc.Config, jobs [soc.NumCores]*core.Cor
 		return fault.Report{}, fmt.Errorf("experiments: %w", err)
 	}
 	opt := core.CampaignOptions{Workers: o.Workers, Reference: o.Reference,
-		CheckpointInterval: o.CheckpointInterval,
-		Telemetry:          o.Telemetry, Events: o.Events, Progress: o.Progress}
+		Telemetry: o.Telemetry, Events: o.Events, Progress: o.Progress}
 	if o.JournalDir != "" {
 		// One content-addressed journal per campaign: resuming an
 		// interrupted sweep settles finished campaigns entirely from disk.
@@ -227,8 +221,13 @@ func runCampaign(o Options, id int, cfg soc.Config, jobs [soc.NumCores]*core.Cor
 
 // forwardingJobs builds per-core forwarding-test jobs; the core under test
 // sits at spec.pos with spec.pad, the other cores at the remaining
-// positions.
-func forwardingJobs(underTest int, spec scenarioSpec, strat func(id int) core.Strategy, withPC bool) [soc.NumCores]*core.CoreJob {
+// positions. cached selects the cache-based strategy (write-allocate) on
+// every core instead of plain execution.
+func forwardingJobs(underTest int, spec scenarioSpec, cached bool) [soc.NumCores]*core.CoreJob {
+	var strat core.Strategy = core.Plain{}
+	if cached {
+		strat = core.CacheBased{WriteAllocate: true}
+	}
 	var jobs [soc.NumCores]*core.CoreJob
 	pos := positions()
 	slot := 0
@@ -246,11 +245,10 @@ func forwardingJobs(underTest int, spec scenarioSpec, strat func(id int) core.St
 		}
 		jobs[id] = &core.CoreJob{
 			Routine: sbst.NewForwardingTest(sbst.ForwardingOptions{
-				DataBase:         dataBaseFor(id),
-				WithPerfCounters: withPC,
-				Pairs64:          id == 2,
+				DataBase: dataBaseFor(id),
+				Pairs64:  id == 2,
 			}),
-			Strategy: strat(id),
+			Strategy: strat,
 			CodeBase: base,
 			AlignPad: pad,
 		}
@@ -274,40 +272,45 @@ type TableIIRow struct {
 
 // TableII fault-grades the forwarding logic of each core.
 func TableII(o Options) ([]TableIIRow, error) {
-	defer o.span("table2")()
+	return forwardingSweep(o, "table2", "core", fault.ForwardingLogic, o.bitStep())
+}
+
+// forwardingSweep fault-grades the forwarding logic of each core over the
+// universe list builds at the given bit step: coverage per plain
+// multi-core scenario (no caches, no PCs) reduced to min-max, plus one
+// representative 3-core scenario under the cache-based strategy (still no
+// PCs, matching the paper's column). span names the sweep's telemetry
+// span; label prefixes its errors.
+func forwardingSweep(o Options, span, label string, list func(fault.ListOptions) []fault.Site, step int) ([]TableIIRow, error) {
+	defer o.span(span)()
 	var rows []TableIIRow
 	for id := 0; id < soc.NumCores; id++ {
 		bits := 32
 		if id == 2 {
 			bits = 64
 		}
-		sites := fault.ForwardingLogic(fault.ListOptions{DataBits: bits, BitStep: o.bitStep()})
+		sites := list(fault.ListOptions{DataBits: bits, BitStep: step})
 		fault.SortSites(sites)
 
-		// Without caches, without performance counters: coverage per
-		// scenario.
 		var reports []fault.Report
 		for _, spec := range tableIIScenarios(o.Quick) {
 			if id >= spec.active {
 				continue // core not active in this scenario
 			}
 			rep, err := runCampaign(o, id, baseConfig(spec.active, false),
-				forwardingJobs(id, spec, func(int) core.Strategy { return core.Plain{} }, false), sites)
+				forwardingJobs(id, spec, false), sites)
 			if err != nil {
-				return nil, fmt.Errorf("core %s: %w", coreName(id), err)
+				return nil, fmt.Errorf("%s %s: %w", label, coreName(id), err)
 			}
 			reports = append(reports, rep)
 		}
 		mm := fault.NewMinMax(reports)
 
-		// With the cache-based strategy (still no PCs, matching the
-		// paper's column): one representative multi-core scenario.
 		spec := scenarioSpec{active: 3, pos: soc.CodeLow, pad: 0}
 		cacheRep, err := runCampaign(o, id, baseConfig(3, true),
-			forwardingJobs(id, spec,
-				func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }, false), sites)
+			forwardingJobs(id, spec, true), sites)
 		if err != nil {
-			return nil, fmt.Errorf("core %s cached: %w", coreName(id), err)
+			return nil, fmt.Errorf("%s %s cached: %w", label, coreName(id), err)
 		}
 
 		rows = append(rows, TableIIRow{

@@ -16,10 +16,10 @@ import (
 // the differential-test guarantee).
 func TestReplayPreservesDataflowSignature(t *testing.T) {
 	spec := scenarioSpec{active: 3, pos: soc.CodeMid, pad: 8}
-	jobs := forwardingJobs(0, spec, func(int) core.Strategy { return core.Plain{} }, false)
+	jobs := forwardingJobs(0, spec, false)
 
 	var rec *bus.Recorder
-	full, _, err := core.RunJobsSetup(baseConfig(3, false), jobs, maxRunCycles, nil,
+	full, _, err := core.RunJobsSetup(baseConfig(3, false), jobs, maxRunCycles,
 		func(s *soc.SoC) { rec = s.AttachRecorder(0) })
 	if err != nil {
 		t.Fatal(err)

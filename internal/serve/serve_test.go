@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,25 @@ func TestSpecBuildPinned(t *testing.T) {
 		if c.Budget != tc.budget || len(c.Sites) != tc.sites || c.Header.Key() != tc.key {
 			t.Errorf("%+v: budget %d, %d sites, key %s; want %d, %d, %s",
 				tc.spec, c.Budget, len(c.Sites), c.Header.Key(), tc.budget, tc.sites, tc.key)
+		}
+	}
+}
+
+// TestSpecBuildSoloReplaysCore0 pins what a non-multicore spec builds:
+// core 0 and the core under test are active, so only a core-0 spec runs
+// without replayed traffic; cores 1 and 2 replay core 0's two bus masters.
+func TestSpecBuildSoloReplaysCore0(t *testing.T) {
+	for id, want := range [][]int{nil, {152, 7}, {152, 7}} {
+		c, err := Spec{Core: id, BitStep: 8}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, m := range c.Cfg.Replay {
+			got = append(got, len(m))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("core %d: replay masters carry %v events, want %v", id, got, want)
 		}
 	}
 }

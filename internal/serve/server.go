@@ -177,10 +177,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // job of the same campaign). With ?wait=1 the reply is deferred until the
 // job leaves the running state.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -12,9 +14,9 @@ import (
 
 // Spec is the wire form of a campaign request: the paper-shaped knobs that
 // fully determine a campaign as a pure function. Everything else about a
-// job — worker count, shard size, engine mode, checkpoint interval — is
-// execution strategy and deliberately kept out, so it can vary between
-// submissions without changing the campaign's content address.
+// job — worker count, shard size, engine mode — is execution strategy and
+// deliberately kept out, so it can vary between submissions without
+// changing the campaign's content address.
 type Spec struct {
 	// Routine is the self-test routine name (sbst.NewRoutineByName);
 	// empty means "forwarding".
@@ -24,8 +26,10 @@ type Spec struct {
 	// Strategy is the execution strategy: "plain", "cache" or "tcm";
 	// empty means "cache".
 	Strategy string `json:"strategy,omitempty"`
-	// Multicore replays 3-core bus contention around the core under test;
-	// false runs the core alone.
+	// Multicore replays 3-core bus contention around the core under test.
+	// False activates core 0 and the core under test only: core 0 then
+	// runs with no replayed traffic, while a core-1 or core-2 spec still
+	// replays core 0's bus traffic.
 	Multicore bool `json:"multicore,omitempty"`
 	// BitStep enumerates every Nth data bit of wide sites (campaign
 	// reduction); <= 0 means 1 (every bit).
@@ -33,6 +37,17 @@ type Spec struct {
 	// Faults selects the fault model: "stuckat" (default) or "transition"
 	// (forwarding routine only).
 	Faults string `json:"faults,omitempty"`
+}
+
+// decodeSpec strictly decodes one JSON spec: unknown fields are rejected,
+// so a misspelled knob fails loudly instead of silently building the
+// default campaign.
+func decodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec Spec
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // Normalized fills the documented defaults and validates the spec, so
