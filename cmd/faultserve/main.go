@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -23,7 +22,6 @@ func main() {
 		StoreDir:  *store,
 		ShardSize: *shardSize,
 		Lease:     *lease,
-		Registry:  telemetry.NewRegistry(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultserve:", err)

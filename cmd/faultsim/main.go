@@ -35,10 +35,6 @@ func main() {
 	if *checkEvents != "" {
 		os.Exit(checkEventStream(*checkEvents))
 	}
-	if *engine == "legacy" {
-		fmt.Fprintln(os.Stderr, "faultsim: the legacy rebuild-per-fault engine was retired; use -engine reference for the full-budget reference-arena semantics")
-		os.Exit(2)
-	}
 	if *engine != "arena" && *engine != "reference" {
 		fmt.Fprintf(os.Stderr, "faultsim: unknown engine %q\n", *engine)
 		os.Exit(2)

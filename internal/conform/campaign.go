@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mem"
-	"repro/internal/sbst"
 	"repro/internal/soc"
 )
 
@@ -26,57 +24,18 @@ type CampaignEnv struct {
 	Cfg       soc.Config
 	Jobs      [soc.NumCores]*core.CoreJob
 	UnderTest int
-	Workers   int // campaign parallelism (0 = GOMAXPROCS)
 }
 
-// NewCampaignEnv builds the standard campaign environment: the named
-// library routine (see sbst.NewRoutineByName) on every active core, the
-// core under test placed at pos with pad bytes of alignment padding, the
-// others at the remaining code positions.
+// NewCampaignEnv builds the standard campaign environment, the Table II
+// code placement of core.PlacedJobs: the named library routine on every
+// active core, the core under test placed at pos with pad bytes of
+// alignment padding, the others at the remaining code positions.
 func NewCampaignEnv(module string, underTest, active int, pos, pad uint32, cached bool) (*CampaignEnv, error) {
-	if underTest < 0 || underTest >= active || active > soc.NumCores {
-		return nil, fmt.Errorf("conform: bad env: core %d of %d active", underTest, active)
+	cfg, jobs, err := core.PlacedJobs(module, underTest, active, pos, pad, cached)
+	if err != nil {
+		return nil, fmt.Errorf("conform: %w", err)
 	}
-	cfg := soc.DefaultConfig()
-	for id := 0; id < soc.NumCores; id++ {
-		cfg.Cores[id].Active = id < active
-		cfg.Cores[id].CachesOn = cached
-		cfg.Cores[id].WriteAlloc = true
-	}
-	var strat core.Strategy = core.Plain{}
-	if cached {
-		strat = core.CacheBased{WriteAllocate: true}
-	}
-	positions := []uint32{soc.CodeLow, soc.CodeMid, soc.CodeHigh}
-	env := &CampaignEnv{Cfg: cfg, UnderTest: underTest}
-	slot := 0
-	for id := 0; id < active; id++ {
-		r, err := sbst.NewRoutineByName(module, sbst.RoutineOptions{
-			DataBase:    mem.SRAMBase + 0x2000*uint32(id+1),
-			CoreID:      id,
-			TriggerReps: 2, // keep ICU routines short for fault grading
-		})
-		if err != nil {
-			return nil, err
-		}
-		var base, alignPad uint32
-		if id == underTest {
-			base, alignPad = pos, pad
-		} else {
-			if positions[slot] == pos {
-				slot++
-			}
-			base = positions[slot%len(positions)] + 0x10000
-			slot++
-		}
-		env.Jobs[id] = &core.CoreJob{
-			Routine:  r,
-			Strategy: strat,
-			CodeBase: base,
-			AlignPad: alignPad,
-		}
-	}
-	return env, nil
+	return &CampaignEnv{Cfg: cfg, Jobs: jobs, UnderTest: underTest}, nil
 }
 
 // CompareEngines runs the campaign under both arena modes (optimized and
@@ -95,12 +54,12 @@ func (e *CampaignEnv) CompareEngines(sites []fault.Site) (string, error) {
 // compareOn runs both arena modes on an already-recorded environment.
 func (e *CampaignEnv) compareOn(replayCfg soc.Config, budget int64, sites []fault.Site) (string, error) {
 	ref, err := core.RunCampaignOpts(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, core.CampaignOptions{Workers: e.Workers, Reference: true})
+		budget, core.CampaignOptions{Reference: true})
 	if err != nil {
 		return "", fmt.Errorf("reference arena: %w", err)
 	}
 	opt, err := core.RunCampaignOpts(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, core.CampaignOptions{Workers: e.Workers})
+		budget, core.CampaignOptions{})
 	if err != nil {
 		return "", fmt.Errorf("optimized arena: %w", err)
 	}

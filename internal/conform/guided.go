@@ -34,17 +34,6 @@ type FuzzOptions struct {
 	// program found while fuzzing.
 	CorpusDir string
 
-	// FreshFrac floors the adaptive fresh fraction: guided runs start fully
-	// fresh (pure exploration) and decay towards this floor as fresh
-	// programs stop producing new coverage, shifting the budget to
-	// mutation; 0 means the default 0.35.
-	FreshFrac float64
-
-	// PerturbFrac is the fraction of fresh programs generated with
-	// rng-perturbed distribution knobs instead of the deterministic
-	// seed-sweep config; 0 means the default 0.5.
-	PerturbFrac float64
-
 	// Random disables guidance: every iteration generates a fresh seed-swept
 	// program and nothing is kept or mutated. Coverage is still collected,
 	// which makes Random the baseline the guided mode is measured against.
@@ -61,13 +50,10 @@ type FuzzOptions struct {
 	Telemetry *telemetry.Registry
 
 	// Progress > 0 prints a progress line (iters, rate, corpus size,
-	// coverage bits) to ProgressWriter every interval. The ticker reads
-	// only registry atomics, never the scenario's own counters, so it is
-	// safe alongside the running loop.
+	// coverage bits) to stderr every interval. The ticker reads only
+	// registry atomics, never the scenario's own counters, so it is safe
+	// alongside the running loop.
 	Progress time.Duration
-
-	// ProgressWriter receives the progress lines; nil means os.Stderr.
-	ProgressWriter io.Writer
 }
 
 // fuzzMetrics holds the registry handles the fuzz loop updates; the zero
@@ -96,15 +82,16 @@ func newFuzzMetrics(reg *telemetry.Registry) fuzzMetrics {
 	}
 }
 
-func (o FuzzOptions) withDefaults() FuzzOptions {
-	if o.FreshFrac <= 0 {
-		o.FreshFrac = 0.35
-	}
-	if o.PerturbFrac <= 0 {
-		o.PerturbFrac = 0.5
-	}
-	return o
-}
+// Guided-loop tuning. freshFloor floors the adaptive fresh fraction:
+// guided runs start fully fresh (pure exploration) and decay towards this
+// floor as fresh programs stop producing new coverage, shifting the budget
+// to mutation. perturbFrac is the fraction of fresh programs generated
+// with rng-perturbed distribution knobs instead of the deterministic
+// seed-sweep config.
+const (
+	freshFloor  = 0.35
+	perturbFrac = 0.5
+)
 
 // frontierWindow is how many of the newest corpus entries the biased
 // parent pick draws from: fresh discoveries get mutated while they are
@@ -162,10 +149,14 @@ func (r *FuzzResult) Summary() string {
 // on the first mismatch, which carries the failing (possibly mutated)
 // program and minimizes like any other. Panics on a non-Guidable scenario.
 func (s *Scenario) Fuzz(seed int64, iters int, deadline time.Time, opts FuzzOptions) (*FuzzResult, error) {
+	return s.fuzz(seed, iters, deadline, opts, os.Stderr)
+}
+
+// fuzz is Fuzz with the progress-line writer given explicitly.
+func (s *Scenario) fuzz(seed int64, iters int, deadline time.Time, opts FuzzOptions, w io.Writer) (*FuzzResult, error) {
 	if !s.Guidable() {
 		panic("conform: Fuzz on a non-program scenario")
 	}
-	opts = opts.withDefaults()
 	// The mutation stream is seeded from the base seed, so a guided run is
 	// fully reproducible from its command line.
 	rng := rand.New(rand.NewSource(seed ^ 0x636f7665726167)) // "coverag"
@@ -178,10 +169,6 @@ func (s *Scenario) Fuzz(seed int64, iters int, deadline time.Time, opts FuzzOpti
 	}
 	met := newFuzzMetrics(reg)
 	if opts.Progress > 0 {
-		w := opts.ProgressWriter
-		if w == nil {
-			w = os.Stderr
-		}
 		start := time.Now()
 		tk := telemetry.StartTicker(opts.Progress, func() {
 			it := met.iters.Value()
@@ -255,7 +242,7 @@ func (s *Scenario) Fuzz(seed int64, iters int, deadline time.Time, opts FuzzOpti
 			sd := nextSeed
 			nextSeed++
 			cfg := s.spec.cfgFor(sd)
-			if !opts.Random && rng.Float64() < opts.PerturbFrac {
+			if !opts.Random && rng.Float64() < perturbFrac {
 				cfg = progen.PerturbKnobs(rng, cfg)
 			}
 			p = progen.Generate(sd, cfg)
@@ -286,8 +273,8 @@ func (s *Scenario) Fuzz(seed int64, iters int, deadline time.Time, opts FuzzOpti
 		if fresh && !opts.Random {
 			if gained {
 				freshP = 1.0
-			} else if freshP *= 0.85; freshP < opts.FreshFrac {
-				freshP = opts.FreshFrac
+			} else if freshP *= 0.85; freshP < freshFloor {
+				freshP = freshFloor
 			}
 		}
 		if gained && !opts.Random {

@@ -79,10 +79,7 @@ func TestFuzzProgressLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf syncBuffer
-	res, err := sc.Fuzz(1, 40, time.Time{}, FuzzOptions{
-		Progress:       time.Millisecond,
-		ProgressWriter: &buf,
-	})
+	res, err := sc.fuzz(1, 40, time.Time{}, FuzzOptions{Progress: time.Millisecond}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

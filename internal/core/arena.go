@@ -12,6 +12,8 @@ import (
 	"repro/internal/bus"
 	"repro/internal/fault"
 	"repro/internal/isa"
+	"repro/internal/mem"
+	"repro/internal/sbst"
 	"repro/internal/soc"
 	"repro/internal/telemetry"
 )
@@ -107,9 +109,6 @@ type Arena struct {
 // Campaign code folds the per-worker snapshots into campaign totals
 // (fault.Report.Dispatch) and the run-summary JSON.
 type ArenaStats struct {
-	// Runs counts plane-swap runs served by the long-lived SoC, golden
-	// capture included.
-	Runs int64
 	// EarlyExits counts runs the divergence watchdogs terminated before
 	// the full budget.
 	EarlyExits int64
@@ -120,15 +119,11 @@ type ArenaStats struct {
 	// FallbackRuns counts sites served by fresh-SoC rebuild-per-fault
 	// runs.
 	FallbackRuns int64
-	// CheckpointRuns counts runs started from a golden checkpoint.
-	CheckpointRuns int64
 	// Dispatch classifies every site served through Run by the path that
 	// served it (fallback runs included).
 	Dispatch fault.DispatchStats
 	// Checkpoints is the number of golden-run restore points held.
 	Checkpoints int
-	// GoldenEvents is the length of the captured observable trace.
-	GoldenEvents int
 	// GoldenOK reports a clean construction-time golden capture. Scenario
 	// harnesses gate optional perturbations (an interrupt plan) on it.
 	GoldenOK bool
@@ -140,7 +135,6 @@ type ArenaStats struct {
 func (a *Arena) Stats() ArenaStats {
 	st := a.st
 	st.Checkpoints = len(a.ckpts)
-	st.GoldenEvents = len(a.golden)
 	st.GoldenOK = a.goldenOK
 	st.Dead = a.dead
 	return st
@@ -494,8 +488,6 @@ func (a *Arena) runFrom(ck *checkpoint, t *fault.Transition) (sig uint32, ok, cu
 	t.SeedHistory(ck.hist.For(t.S))
 	s.SetPlane(a.id, t)
 	a.idx, a.count, a.diverged, a.lastObs = ck.obsIdx, ck.obsIdx, false, ck.lastObs
-	a.st.Runs++
-	a.st.CheckpointRuns++
 	a.path = fault.DispatchCheckpoint
 	return a.stepRun()
 }
@@ -516,7 +508,6 @@ func (a *Arena) runOnce(p fault.Plane) (sig uint32, ok, cut bool) {
 	s.SetPlane(a.id, p)
 	s.Start(a.id, a.entry)
 	a.idx, a.count, a.diverged, a.lastObs = 0, 0, false, 0
-	a.st.Runs++
 	return a.stepRun()
 }
 
@@ -607,9 +598,8 @@ func (a *Arena) quarantine() {
 		a.noteQuarantine()
 		return
 	}
-	// fresh ran its own golden capture: its run counters fold into the
+	// fresh ran its own golden capture: its early exits fold into the
 	// lifetime stats, everything else carries over unchanged.
-	st.Runs += fresh.st.Runs
 	st.EarlyExits += fresh.st.EarlyExits
 	*a = *fresh
 	a.st = st
@@ -779,6 +769,52 @@ const (
 	budgetSlack  = 20_000
 	goldenCap    = 10_000_000
 )
+
+// PlacedJobs builds the Table II code-placement scenario: cores 0..active-1
+// active, every one running the named library routine (see
+// sbst.NewRoutineByName) from its own data window, plain or — when cached
+// — cache-based with write-allocate. The core under test sits at flash
+// position pos with pad bytes of alignment padding; the others take the
+// remaining positions in order, each offset by 0x10000. RecordReplay turns
+// the result into a campaign environment.
+func PlacedJobs(routine string, underTest, active int, pos, pad uint32, cached bool) (soc.Config, [soc.NumCores]*CoreJob, error) {
+	var jobs [soc.NumCores]*CoreJob
+	if underTest < 0 || underTest >= active || active > soc.NumCores {
+		return soc.Config{}, jobs, fmt.Errorf("bad placement: core %d of %d active", underTest, active)
+	}
+	cfg := soc.DefaultConfig()
+	for id := 0; id < soc.NumCores; id++ {
+		cfg.Cores[id].Active = id < active
+		cfg.Cores[id].CachesOn = cached
+		cfg.Cores[id].WriteAlloc = true
+	}
+	var strat Strategy = Plain{}
+	if cached {
+		strat = CacheBased{WriteAllocate: true}
+	}
+	positions := []uint32{soc.CodeLow, soc.CodeMid, soc.CodeHigh}
+	slot := 0
+	for id := 0; id < active; id++ {
+		r, err := sbst.NewRoutineByName(routine, sbst.RoutineOptions{
+			DataBase:    mem.SRAMBase + 0x2000*uint32(id+1),
+			CoreID:      id,
+			TriggerReps: 2, // keep ICU routines short for fault grading
+		})
+		if err != nil {
+			return soc.Config{}, jobs, err
+		}
+		base, alignPad := pos, pad
+		if id != underTest {
+			if positions[slot] == pos {
+				slot++
+			}
+			base, alignPad = positions[slot%len(positions)]+0x10000, 0
+			slot++
+		}
+		jobs[id] = &CoreJob{Routine: r, Strategy: strat, CodeBase: base, AlignPad: alignPad}
+	}
+	return cfg, jobs, nil
+}
 
 // RecordReplay is the one campaign builder: it runs the fault-free
 // full-system golden of jobs under cfg while recording every core's bus

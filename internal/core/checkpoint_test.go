@@ -104,7 +104,10 @@ func TestArenaCheckpointedTransitionRunsMatchFreshSoC(t *testing.T) {
 			t.Errorf("%v: arena signature %08x, fresh %08x", site, sig, fresh.Signature)
 		}
 	}
-	shortcuts := func() int64 { st := a.Stats(); return st.CheckpointRuns + st.Dispatch[fault.DispatchGolden] }
+	shortcuts := func() int64 {
+		st := a.Stats()
+		return st.Dispatch[fault.DispatchCheckpoint] + st.Dispatch[fault.DispatchGolden]
+	}
 	if shortcuts() == 0 {
 		t.Error("checkpoint fast path never engaged across the sample")
 	}

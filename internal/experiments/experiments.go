@@ -219,43 +219,6 @@ func runCampaign(o Options, id int, cfg soc.Config, jobs [soc.NumCores]*core.Cor
 	return rep, nil
 }
 
-// forwardingJobs builds per-core forwarding-test jobs; the core under test
-// sits at spec.pos with spec.pad, the other cores at the remaining
-// positions. cached selects the cache-based strategy (write-allocate) on
-// every core instead of plain execution.
-func forwardingJobs(underTest int, spec scenarioSpec, cached bool) [soc.NumCores]*core.CoreJob {
-	var strat core.Strategy = core.Plain{}
-	if cached {
-		strat = core.CacheBased{WriteAllocate: true}
-	}
-	var jobs [soc.NumCores]*core.CoreJob
-	pos := positions()
-	slot := 0
-	for id := 0; id < spec.active; id++ {
-		var base uint32
-		var pad uint32
-		if id == underTest {
-			base, pad = spec.pos, spec.pad
-		} else {
-			if pos[slot] == spec.pos {
-				slot++
-			}
-			base = pos[slot%len(pos)] + 0x10000
-			slot++
-		}
-		jobs[id] = &core.CoreJob{
-			Routine: sbst.NewForwardingTest(sbst.ForwardingOptions{
-				DataBase: dataBaseFor(id),
-				Pairs64:  id == 2,
-			}),
-			Strategy: strat,
-			CodeBase: base,
-			AlignPad: pad,
-		}
-	}
-	return jobs
-}
-
 // ---------------------------------------------------------------------------
 // Table II: forwarding-logic fault coverage, min-max without caches versus
 // stable coverage with the cache-based strategy.
@@ -297,8 +260,11 @@ func forwardingSweep(o Options, span, label string, list func(fault.ListOptions)
 			if id >= spec.active {
 				continue // core not active in this scenario
 			}
-			rep, err := runCampaign(o, id, baseConfig(spec.active, false),
-				forwardingJobs(id, spec, false), sites)
+			cfg, jobs, err := core.PlacedJobs("forwarding", id, spec.active, spec.pos, spec.pad, false)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", label, coreName(id), err)
+			}
+			rep, err := runCampaign(o, id, cfg, jobs, sites)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", label, coreName(id), err)
 			}
@@ -306,9 +272,11 @@ func forwardingSweep(o Options, span, label string, list func(fault.ListOptions)
 		}
 		mm := fault.NewMinMax(reports)
 
-		spec := scenarioSpec{active: 3, pos: soc.CodeLow, pad: 0}
-		cacheRep, err := runCampaign(o, id, baseConfig(3, true),
-			forwardingJobs(id, spec, true), sites)
+		cfg, jobs, err := core.PlacedJobs("forwarding", id, 3, soc.CodeLow, 0, true)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s cached: %w", label, coreName(id), err)
+		}
+		cacheRep, err := runCampaign(o, id, cfg, jobs, sites)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s cached: %w", label, coreName(id), err)
 		}

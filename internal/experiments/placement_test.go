@@ -1,0 +1,107 @@
+package experiments
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/soc"
+)
+
+// TestTableIIPlacementPinned pins the code placement core.PlacedJobs gives
+// every Table II scenario: which cores are active, whether their caches are
+// on, where each image sits, which core carries the alignment padding and
+// which strategy runs. A placement change moves the bus interleaving and so
+// the coverage numbers, so it must show up here first.
+func TestTableIIPlacementPinned(t *testing.T) {
+	type key struct {
+		active, underTest int
+		pos               uint32
+	}
+	// Code base of cores A, B, C (0 = inactive) per active count, core
+	// under test and its position; padding does not move any image.
+	bases := map[key][soc.NumCores]uint32{
+		{2, 0, soc.CodeLow}:  {0x1000, 0x50000, 0},
+		{2, 1, soc.CodeLow}:  {0x50000, 0x1000, 0},
+		{2, 0, soc.CodeMid}:  {0x40000, 0x11000, 0},
+		{2, 1, soc.CodeMid}:  {0x11000, 0x40000, 0},
+		{2, 0, soc.CodeHigh}: {0xa0000, 0x11000, 0},
+		{2, 1, soc.CodeHigh}: {0x11000, 0xa0000, 0},
+		{3, 0, soc.CodeLow}:  {0x1000, 0x50000, 0xb0000},
+		{3, 1, soc.CodeLow}:  {0x50000, 0x1000, 0xb0000},
+		{3, 2, soc.CodeLow}:  {0x50000, 0xb0000, 0x1000},
+		{3, 0, soc.CodeMid}:  {0x40000, 0x11000, 0xb0000},
+		{3, 1, soc.CodeMid}:  {0x11000, 0x40000, 0xb0000},
+		{3, 2, soc.CodeMid}:  {0x11000, 0xb0000, 0x40000},
+		{3, 0, soc.CodeHigh}: {0xa0000, 0x11000, 0x50000},
+		{3, 1, soc.CodeHigh}: {0x11000, 0xa0000, 0x50000},
+		{3, 2, soc.CodeHigh}: {0x11000, 0x50000, 0xa0000},
+	}
+	type scenario struct {
+		spec   scenarioSpec
+		cached bool
+	}
+	var scenarios []scenario
+	for _, spec := range tableIIScenarios(false) {
+		scenarios = append(scenarios, scenario{spec, false})
+	}
+	scenarios = append(scenarios, scenario{scenarioSpec{3, soc.CodeLow, 0}, true})
+	if len(scenarios) != 19 {
+		t.Fatalf("%d scenarios, want 18 plain + 1 cached", len(scenarios))
+	}
+	checked := 0
+	for _, sc := range scenarios {
+		spec := sc.spec
+		for u := 0; u < spec.active; u++ {
+			want, ok := bases[key{spec.active, u, spec.pos}]
+			if !ok {
+				t.Fatalf("no expected placement for %+v core %d", spec, u)
+			}
+			cfg, jobs, err := core.PlacedJobs("forwarding", u, spec.active, spec.pos, spec.pad, sc.cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < soc.NumCores; id++ {
+				c, j := cfg.Cores[id], jobs[id]
+				if c.Active != (id < spec.active) || c.CachesOn != sc.cached {
+					t.Errorf("%+v core %d: setup %d active=%v caches=%v", spec, u, id, c.Active, c.CachesOn)
+				}
+				if id >= spec.active {
+					if j != nil {
+						t.Errorf("%+v core %d: inactive core %d has a job", spec, u, id)
+					}
+					continue
+				}
+				var pad uint32
+				if id == u {
+					pad = spec.pad
+				}
+				if j.CodeBase != want[id] || j.AlignPad != pad {
+					t.Errorf("%+v core %d: core %d at %#x pad %d, want %#x pad %d",
+						spec, u, id, j.CodeBase, j.AlignPad, want[id], pad)
+				}
+				switch s := j.Strategy.(type) {
+				case core.Plain:
+					if sc.cached {
+						t.Errorf("%+v core %d: core %d runs plain in the cached scenario", spec, u, id)
+					}
+				case core.CacheBased:
+					if !sc.cached || !s.WriteAllocate {
+						t.Errorf("%+v core %d: core %d strategy %+v", spec, u, id, s)
+					}
+				default:
+					t.Errorf("%+v core %d: core %d strategy %T", spec, u, id, s)
+				}
+				checked++
+			}
+		}
+	}
+	if checked != 126 {
+		t.Errorf("checked %d core placements, want 126", checked)
+	}
+
+	for _, bad := range []struct{ underTest, active int }{{2, 2}, {0, 4}, {-1, 3}} {
+		if _, _, err := core.PlacedJobs("forwarding", bad.underTest, bad.active, soc.CodeLow, 0, false); err == nil {
+			t.Errorf("core %d of %d active accepted", bad.underTest, bad.active)
+		}
+	}
+}

@@ -15,11 +15,12 @@ import (
 // routine computes pure dataflow, so its signature is timing-invariant by
 // the differential-test guarantee).
 func TestReplayPreservesDataflowSignature(t *testing.T) {
-	spec := scenarioSpec{active: 3, pos: soc.CodeMid, pad: 8}
-	jobs := forwardingJobs(0, spec, false)
-
+	cfg, jobs, err := core.PlacedJobs("forwarding", 0, 3, soc.CodeMid, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rec *bus.Recorder
-	full, _, err := core.RunJobsSetup(baseConfig(3, false), jobs, maxRunCycles,
+	full, _, err := core.RunJobsSetup(cfg, jobs, maxRunCycles,
 		func(s *soc.SoC) { rec = s.AttachRecorder(0) })
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +29,6 @@ func TestReplayPreservesDataflowSignature(t *testing.T) {
 		t.Fatal("full run failed")
 	}
 
-	cfg := baseConfig(3, false)
 	cfg.Replay = rec.EventsByMaster()
 	for id := 0; id < soc.NumCores; id++ {
 		cfg.Cores[id].Active = id == 0

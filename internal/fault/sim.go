@@ -395,12 +395,11 @@ func SimulateOpts(sites []Site, runners []RunFunc, opt SimOptions) (Report, erro
 // Table II reports min–max fault coverage over SoC configurations).
 type MinMax struct {
 	Min, Max float64
-	Reports  []Report
 }
 
 // NewMinMax aggregates reports.
 func NewMinMax(reports []Report) MinMax {
-	mm := MinMax{Min: 101, Max: -1, Reports: reports}
+	mm := MinMax{Min: 101, Max: -1}
 	for _, r := range reports {
 		fc := r.Coverage()
 		if fc < mm.Min {
@@ -415,9 +414,6 @@ func NewMinMax(reports []Report) MinMax {
 	}
 	return mm
 }
-
-// Spread returns Max-Min in coverage points.
-func (m MinMax) Spread() float64 { return m.Max - m.Min }
 
 // SortSites orders a fault list deterministically (useful for stable
 // sub-sampling in tests).

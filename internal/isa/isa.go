@@ -221,16 +221,6 @@ func (op Op) IsSystem() bool {
 	return false
 }
 
-// CanRaiseEvent reports whether op may raise a synchronous imprecise
-// interrupt event towards the ICU.
-func (op Op) CanRaiseEvent() bool {
-	switch op {
-	case OpADDV, OpSUBV, OpMULV, OpDIVV:
-		return true
-	}
-	return false
-}
-
 // WritesReg reports whether the instruction writes a general-purpose
 // register (writes to r0 are discarded by the register file but still count
 // as "writes" for encoding purposes; hazard logic must additionally check

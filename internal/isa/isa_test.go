@@ -219,9 +219,6 @@ func TestClassifiers(t *testing.T) {
 	if !OpCSRR.IsSystem() || !OpHALT.IsSystem() {
 		t.Error("system misclassified")
 	}
-	if !OpADDV.CanRaiseEvent() || OpADD.CanRaiseEvent() {
-		t.Error("event classification wrong")
-	}
 }
 
 func TestWritesRegAndSrcRegs(t *testing.T) {

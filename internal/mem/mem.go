@@ -315,12 +315,5 @@ func DTCMFor(coreID int) uint32 { return DTCMBase + uint32(coreID)*TCMStride }
 // ITCMFor returns the base address of core coreID's instruction TCM.
 func ITCMFor(coreID int) uint32 { return ITCMBase + uint32(coreID)*TCMStride }
 
-// InTCM reports whether addr falls in core coreID's private TCM windows.
-func InTCM(addr uint32, coreID int) bool {
-	d := DTCMFor(coreID)
-	i := ITCMFor(coreID)
-	return (addr >= d && addr < d+TCMSize) || (addr >= i && addr < i+TCMSize)
-}
-
 // LineAddr returns the line-aligned base of addr.
 func LineAddr(addr uint32) uint32 { return addr &^ uint32(LineBytes-1) }

@@ -64,12 +64,6 @@ func TestTCMAddressing(t *testing.T) {
 	if DTCMFor(0) != DTCMBase || DTCMFor(2) != DTCMBase+2*TCMStride {
 		t.Error("DTCMFor")
 	}
-	if !InTCM(DTCMFor(1), 1) || InTCM(DTCMFor(1), 0) {
-		t.Error("InTCM privacy")
-	}
-	if !InTCM(ITCMFor(2)+TCMSize-1, 2) || InTCM(ITCMFor(2)+TCMSize, 2) {
-		t.Error("InTCM bounds")
-	}
 }
 
 func TestLineAddr(t *testing.T) {

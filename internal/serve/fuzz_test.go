@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzSpecDecode feeds arbitrary bytes to the job server's strict spec
-// decoder and normalizes whatever it accepts: neither may panic, and every
+// FuzzSpecDecode feeds arbitrary bytes to the job server's strict body
+// decoder as a spec and normalizes whatever it accepts: neither may panic, and every
 // accepted spec must normalize idempotently and survive a marshal plus
 // strict decode unchanged — the properties the content address rests on.
 // Build is deliberately not called: each build runs a golden simulation.
@@ -39,8 +39,8 @@ func FuzzSpecDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := decodeSpec(bytes.NewReader(data))
-		if err != nil {
+		var spec Spec
+		if err := decodeStrict(bytes.NewReader(data), &spec); err != nil {
 			return // rejected cleanly
 		}
 		n, err := spec.Normalized()
@@ -55,7 +55,8 @@ func FuzzSpecDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal %+v: %v", n, err)
 		}
-		back, err := decodeSpec(bytes.NewReader(blob))
+		var back Spec
+		err = decodeStrict(bytes.NewReader(blob), &back)
 		if err != nil || back != n {
 			t.Fatalf("round trip of %s: got %+v (err %v), want %+v", blob, back, err, n)
 		}

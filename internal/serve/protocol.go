@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/fault"
 )
@@ -10,6 +11,16 @@ import (
 // The shard protocol: a worker leases one shard at a time, streams the
 // verdicts it settles in batches, and marks the shard complete. Every
 // message is plain JSON over HTTP; docs/SERVICE.md is the wire reference.
+
+// decodeStrict decodes one JSON value from r into v, rejecting unknown
+// fields, so a misspelled knob or protocol field fails loudly instead of
+// silently building the default campaign or dropping data. Every POST body
+// the server accepts (spec, lease request, verdict batch) goes through it.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
 
 // LeaseRequest is the body of POST /v1/lease.
 type LeaseRequest struct {

@@ -417,3 +417,52 @@ func TestSubmitAttachesToRunningJob(t *testing.T) {
 		t.Fatalf("job list has %d entries, want 1", len(all))
 	}
 }
+
+// TestRequestBodiesCappedAndStrict pins the POST trust boundary: a submit
+// or verdict batch over maxBodyBytes is refused with 413 and an unknown
+// protocol field with 400, neither disturbs the job, and an ordinary
+// submit still succeeds afterwards.
+func TestRequestBodiesCappedAndStrict(t *testing.T) {
+	_, hs := startServer(t, Config{})
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := strings.Repeat("x", maxBodyBytes+1024)
+
+	if code := post("/v1/jobs", `{"routine":"`+huge+`"}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-limit submit: status %d, want 413", code)
+	}
+	st := submit(t, hs.URL, quickSpec(), "")
+
+	if code := post("/v1/lease", `{"worker":"w","shard":0}`); code != http.StatusBadRequest {
+		t.Errorf("lease request with unknown field: status %d, want 400", code)
+	}
+	var lease Lease
+	body, _ := json.Marshal(LeaseRequest{Worker: "w"})
+	resp, err := http.Post(hs.URL+"/v1/lease", "application/json", bytes.NewReader(body))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("lease: %v %v", err, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
+		t.Fatalf("lease decode: %v", err)
+	}
+	resp.Body.Close()
+
+	path := fmt.Sprintf("/v1/jobs/%s/shards/%s/verdicts", lease.Job, lease.Shard)
+	if code := post(path, `{"worker":"w","verdicts":[{"i":0,"stack":"`+huge+`"}]}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-limit verdict batch: status %d, want 413", code)
+	}
+	if code := post(path, `{"worker":"w","verdicts":[{"i":0,"signature":1}]}`); code != http.StatusBadRequest {
+		t.Errorf("verdict with unknown field: status %d, want 400", code)
+	}
+	if again := submit(t, hs.URL, quickSpec(), ""); again.ID != st.ID || again.Settled != 0 {
+		t.Errorf("resubmit after refused bodies: job %s settled %d, want %s with 0 settled",
+			again.ID, again.Settled, st.ID)
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -23,9 +24,6 @@ type Config struct {
 	// shard whose worker stays silent past the lease returns to the pending
 	// pool and is re-leased with the already-settled sites excluded.
 	Lease time.Duration
-	// Registry receives the pool-level metrics and backs the server's
-	// /metrics endpoint; nil means a fresh private registry.
-	Registry *telemetry.Registry
 }
 
 // DefaultShardSize is the default shard width in sites.
@@ -104,10 +102,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	s := &Server{
 		cfg:   cfg,
 		store: store,
@@ -157,6 +152,28 @@ func (s *Server) Close() error {
 }
 
 // httpError writes a JSON error body with the given status.
+// maxBodyBytes caps every POST body. The largest legitimate body is a
+// verdict batch whose verdicts all carry panic stacks; 4 MiB leaves that
+// room while bounding what one request can make the server buffer.
+const maxBodyBytes = 4 << 20
+
+// decodeRequest strictly decodes r's body, capped at maxBodyBytes, into v.
+// On failure it answers 413 for an over-limit body and 400 otherwise,
+// naming what was being decoded, and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, "bad %s: %v", what, err)
+	return false
+}
+
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -177,9 +194,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // job of the same campaign). With ?wait=1 the reply is deferred until the
 // job leaves the running state.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSpec(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
+	var spec Spec
+	if !decodeRequest(w, r, "spec", &spec) {
 		return
 	}
 	// Build outside the lock: the golden traffic-recording run is
@@ -473,8 +489,7 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 // is pending.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad lease request: %v", err)
+	if !decodeRequest(w, r, "lease request", &req) {
 		return
 	}
 	now := time.Now()
@@ -555,8 +570,7 @@ func splitRange(s string) (lo, hi int, ok bool) {
 // loses nothing.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	var batch VerdictBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		httpError(w, http.StatusBadRequest, "bad verdict batch: %v", err)
+	if !decodeRequest(w, r, "verdict batch", &batch) {
 		return
 	}
 	s.mu.Lock()

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -37,17 +35,6 @@ type Spec struct {
 	// Faults selects the fault model: "stuckat" (default) or "transition"
 	// (forwarding routine only).
 	Faults string `json:"faults,omitempty"`
-}
-
-// decodeSpec strictly decodes one JSON spec: unknown fields are rejected,
-// so a misspelled knob fails loudly instead of silently building the
-// default campaign.
-func decodeSpec(r io.Reader) (Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var spec Spec
-	err := dec.Decode(&spec)
-	return spec, err
 }
 
 // Normalized fills the documented defaults and validates the spec, so

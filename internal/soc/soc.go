@@ -382,17 +382,6 @@ func (s *SoC) AttachRecorder(exceptID int) *bus.Recorder {
 	return rec
 }
 
-// ActiveCount returns how many cores are configured active.
-func (s *SoC) ActiveCount() int {
-	n := 0
-	for _, u := range s.Cores {
-		if u.setup.Active {
-			n++
-		}
-	}
-	return n
-}
-
 // routedClient is a memory client the router both routes to and
 // checkpoints. Holding clients under this static type keeps Save/Load free
 // of interface type assertions, whose runtime caches allocate.
