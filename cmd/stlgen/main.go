@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/sbst"
 	"repro/internal/soc"
 )
@@ -20,7 +19,7 @@ func main() {
 	flag.Parse()
 
 	r, err := sbst.NewRoutineByName(*routineName, sbst.RoutineOptions{
-		DataBase: mem.SRAMBase + 0x2000*uint32(*coreID+1),
+		DataBase: core.DataWindow(*coreID),
 		CoreID:   *coreID,
 	})
 	if err != nil {

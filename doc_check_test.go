@@ -1,4 +1,4 @@
-package coverage
+package repro_test
 
 import (
 	"go/ast"
@@ -9,21 +9,39 @@ import (
 	"testing"
 )
 
+// documentedPackages must give every exported identifier a doc comment:
+// coverage and telemetry are the extension points new instrumentation
+// lands in, serve's exported surface doubles as the service's wire-format
+// documentation, and core and experiments are the campaign and paper-table
+// APIs every command builds on.
+var documentedPackages = []string{
+	"internal/core",
+	"internal/coverage",
+	"internal/experiments",
+	"internal/serve",
+	"internal/telemetry",
+}
+
 // TestExportedIdentifiersDocumented fails on any exported identifier in
-// this package that lacks a doc comment. CI runs it as the doc-presence
-// gate for the coverage API (go vet covers the rest of the tree).
+// documentedPackages that lacks a doc comment. CI runs it as the
+// doc-presence gate (go vet covers the rest of the tree).
 func TestExportedIdentifiersDocumented(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				checkDecl(t, fset, decl)
+	for _, dir := range documentedPackages {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("parse %s: %v", dir, err)
+		}
+		if len(pkgs) == 0 {
+			t.Fatalf("%s: no package found", dir)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					checkDecl(t, fset, decl)
+				}
 			}
 		}
 	}

@@ -10,20 +10,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mem"
 	"repro/internal/sbst"
 	"repro/internal/soc"
 )
 
 func runOnce(plane fault.Plane) (uint32, bool) {
-	cfg := soc.DefaultConfig()
-	for id := 0; id < soc.NumCores; id++ {
-		cfg.Cores[id].Active = id == 0
-		cfg.Cores[id].CachesOn = true
-		cfg.Cores[id].WriteAlloc = true
-	}
+	cfg := core.SoCConfig(true)
 	cfg.Cores[0].Plane = plane
-	routine, err := sbst.NewRoutineByName("forwarding", sbst.RoutineOptions{DataBase: mem.SRAMBase + 0x2000})
+	routine, err := sbst.NewRoutineByName("forwarding", sbst.RoutineOptions{DataBase: core.DataWindow(0)})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/mem"
-	"repro/internal/sbst"
 	"repro/internal/soc"
 )
 
@@ -28,22 +26,11 @@ func main() {
 	// self-test routine both ways and compare which multiplexer paths are
 	// excited. Unexcited paths are exactly where stuck-at faults survive.
 	pathNames := []string{"RF", "EX-EX(L0)", "EX-EX(L1)", "MEM-EX(L0)", "MEM-EX(L1)", "cascade"}
-	use := func(strategy core.Strategy, cached bool, active int) [2][2][fault.NumPaths]int64 {
-		cfg := soc.DefaultConfig()
-		var jobs [soc.NumCores]*core.CoreJob
-		for id := 0; id < soc.NumCores; id++ {
-			cfg.Cores[id].Active = id < active
-			cfg.Cores[id].CachesOn = cached
-			cfg.Cores[id].WriteAlloc = true
-			if id < active {
-				jobs[id] = &core.CoreJob{
-					Routine: sbst.NewForwardingTest(sbst.ForwardingOptions{
-						DataBase: mem.SRAMBase + 0x2000*uint32(id+1),
-					}),
-					Strategy: strategy,
-					CodeBase: soc.CodeLow + uint32(id)*0x10000,
-				}
-			}
+	use := func(cached bool) [2][2][fault.NumPaths]int64 {
+		// The three-core placement of Table II, core A under test.
+		cfg, jobs, err := core.PlacedJobs("forwarding", 0, soc.NumCores, soc.CodeLow, 0, cached)
+		if err != nil {
+			log.Fatal(err)
 		}
 		_, s, err := core.RunJobs(cfg, jobs, 5_000_000)
 		if err != nil {
@@ -52,8 +39,8 @@ func main() {
 		return s.Cores[0].Core.PathUse
 	}
 
-	broken := use(core.Plain{}, false, 3)
-	isolated := use(core.CacheBased{WriteAllocate: true}, true, 3)
+	broken := use(false)
+	isolated := use(true)
 
 	fmt.Println("forwarding-path excitation counts of the full routine on core A:")
 	fmt.Printf("%-22s %12s %12s\n", "path", "3-core plain", "cache-based")

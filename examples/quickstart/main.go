@@ -8,7 +8,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/sbst"
 	"repro/internal/soc"
 )
@@ -19,7 +18,7 @@ func main() {
 	// sensitive to timing.
 	mkRoutine := func(coreID int) *sbst.Routine {
 		r, err := sbst.NewRoutineByName("hdcu", sbst.RoutineOptions{
-			DataBase: mem.SRAMBase + 0x2000*uint32(coreID+1),
+			DataBase: core.DataWindow(coreID),
 			CoreID:   coreID,
 		})
 		if err != nil {
@@ -36,7 +35,7 @@ func main() {
 		bases  [soc.NumCores]uint32
 	}
 	configs := []config{
-		{[3]int{0, 0, 0}, [3]uint32{soc.CodeLow, soc.CodeMid, soc.CodeHigh}},
+		{[3]int{0, 0, 0}, soc.CodePositions},
 		{[3]int{0, 11, 23}, [3]uint32{soc.CodeMid, soc.CodeLow, soc.CodeHigh}},
 		{[3]int{7, 0, 13}, [3]uint32{soc.CodeHigh, soc.CodeMid, soc.CodeLow}},
 	}
@@ -44,11 +43,9 @@ func main() {
 	run := func(strategy core.Strategy, cached bool) []uint32 {
 		var sigs []uint32
 		for _, c := range configs {
-			cfg := soc.DefaultConfig()
+			cfg := core.SoCConfig(cached)
 			var jobs [soc.NumCores]*core.CoreJob
 			for id := 0; id < soc.NumCores; id++ {
-				cfg.Cores[id].CachesOn = cached
-				cfg.Cores[id].WriteAlloc = true
 				cfg.Cores[id].StartDelay = c.delays[id]
 				jobs[id] = &core.CoreJob{
 					Routine:  mkRoutine(id),

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sbst"
 	"repro/internal/sched"
-	"repro/internal/soc"
 )
 
 func main() {
@@ -43,13 +42,7 @@ func main() {
 			}
 		}
 		jobs := plan.Jobs(func(int) core.Strategy { return core.Plain{} })
-		cfg := soc.DefaultConfig()
-		for id := 0; id < soc.NumCores; id++ {
-			cfg.Cores[id].Active = id < nCores
-			cfg.Cores[id].CachesOn = true
-			cfg.Cores[id].WriteAlloc = true
-		}
-		results, _, err := core.RunJobs(cfg, jobs, 20_000_000)
+		results, _, err := core.RunJobs(core.SoCConfig(true), jobs, 20_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,16 +26,30 @@ type CampaignEnv struct {
 	UnderTest int
 }
 
-// NewCampaignEnv builds the standard campaign environment, the Table II
-// code placement of core.PlacedJobs: the named library routine on every
-// active core, the core under test placed at pos with pad bytes of
-// alignment padding, the others at the remaining code positions.
+// NewCampaignEnv builds the standard campaign environment, the code
+// placement of core.PlacedJobs: the named library routine on cores
+// 0..active-1 and the core under test, the core under test placed at pos
+// with pad bytes of alignment padding, the others at the remaining code
+// positions.
 func NewCampaignEnv(module string, underTest, active int, pos, pad uint32, cached bool) (*CampaignEnv, error) {
 	cfg, jobs, err := core.PlacedJobs(module, underTest, active, pos, pad, cached)
 	if err != nil {
 		return nil, fmt.Errorf("conform: %w", err)
 	}
 	return &CampaignEnv{Cfg: cfg, Jobs: jobs, UnderTest: underTest}, nil
+}
+
+// randomPlacement draws a random Table II-shaped environment for
+// NewCampaignEnv: two or three active cores, the core under test, its code
+// position and padding, and plain or cached execution. The draw order is
+// part of every seed's meaning: changing it replays different environments.
+func randomPlacement(rng *rand.Rand) (active, underTest int, pos, pad uint32, cached bool) {
+	active = 2 + rng.Intn(soc.NumCores-1)
+	underTest = rng.Intn(active)
+	pos = soc.CodePositions[rng.Intn(len(soc.CodePositions))]
+	pad = uint32(8 * rng.Intn(3))
+	cached = rng.Intn(2) == 0
+	return active, underTest, pos, pad, cached
 }
 
 // CompareEngines runs the campaign under both arena modes (optimized and
@@ -103,12 +117,7 @@ func DiffReports(ref, opt fault.Report, sites []fault.Site) string {
 func runCampaignSeed(seed int64) *Mismatch {
 	rng := rand.New(rand.NewSource(seed))
 
-	active := 2 + rng.Intn(soc.NumCores-1)
-	underTest := rng.Intn(active)
-	positions := []uint32{soc.CodeLow, soc.CodeMid, soc.CodeHigh}
-	pos := positions[rng.Intn(len(positions))]
-	pad := uint32(8 * rng.Intn(3))
-	cached := rng.Intn(2) == 0
+	active, underTest, pos, pad, cached := randomPlacement(rng)
 
 	bits := 32
 	if underTest == 2 {

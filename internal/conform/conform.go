@@ -579,11 +579,9 @@ func readScratch(cfg progen.Config, read func(addr uint32) uint32) []uint32 {
 // socConfig returns an SoC configuration with either just the core under
 // test active, or all cores (the contended environment).
 func socConfig(coreID int, cached, contend bool) soc.Config {
-	cfg := soc.DefaultConfig()
-	for id := 0; id < soc.NumCores; id++ {
+	cfg := core.SoCConfig(cached)
+	for id := range cfg.Cores {
 		cfg.Cores[id].Active = id == coreID || contend
-		cfg.Cores[id].CachesOn = cached
-		cfg.Cores[id].WriteAlloc = true
 	}
 	return cfg
 }
@@ -641,7 +639,7 @@ func runSoC(prog *asm.Program, cfg progen.Config, coreID int, cached, contend bo
 // startContender loads and starts the generic STL on core id — the bus
 // pressure of the contended scenario.
 func startContender(s *soc.SoC, id int) error {
-	routines := sbst.StandardSTL(mem.SRAMBase + 0x2000*uint32(id+1))
+	routines := sbst.StandardSTL(core.DataWindow(id))
 	b := asm.NewBuilder()
 	for _, r := range routines {
 		r.EmitPlain(b)

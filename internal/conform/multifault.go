@@ -113,12 +113,7 @@ func compareGroups(env *CampaignEnv, replayCfg soc.Config, budget int64, plan ar
 func runMultifaultSeed(seed int64) *Mismatch {
 	rng := rand.New(rand.NewSource(seed))
 
-	active := 2 + rng.Intn(soc.NumCores-1)
-	underTest := rng.Intn(active)
-	positions := []uint32{soc.CodeLow, soc.CodeMid, soc.CodeHigh}
-	pos := positions[rng.Intn(len(positions))]
-	pad := uint32(8 * rng.Intn(3))
-	cached := rng.Intn(2) == 0
+	active, underTest, pos, pad, cached := randomPlacement(rng)
 
 	bits := 32
 	if underTest == 2 {

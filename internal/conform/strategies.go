@@ -323,12 +323,7 @@ func checkPlanInvariants(tasks []sched.Task, plan sched.Plan, nCores int) string
 // flag must read published.
 func runPlan(plan sched.Plan, strat func(int) core.Strategy, cached bool, nTasks int, cov *coverage.Map) ([]uint32, int64, string) {
 	jobs := plan.Jobs(strat)
-	cfg := soc.DefaultConfig()
-	for id := 0; id < soc.NumCores; id++ {
-		cfg.Cores[id].CachesOn = cached
-		cfg.Cores[id].WriteAlloc = true
-	}
-	results, s, err := core.RunJobsSetup(cfg, jobs, socBudget, func(s *soc.SoC) {
+	results, s, err := core.RunJobsSetup(core.SoCConfig(cached), jobs, socBudget, func(s *soc.SoC) {
 		if cov != nil {
 			s.SetCoverage(cov)
 		}

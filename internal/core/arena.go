@@ -12,8 +12,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/fault"
 	"repro/internal/isa"
-	"repro/internal/mem"
-	"repro/internal/sbst"
 	"repro/internal/soc"
 	"repro/internal/telemetry"
 )
@@ -769,52 +767,6 @@ const (
 	budgetSlack  = 20_000
 	goldenCap    = 10_000_000
 )
-
-// PlacedJobs builds the Table II code-placement scenario: cores 0..active-1
-// active, every one running the named library routine (see
-// sbst.NewRoutineByName) from its own data window, plain or — when cached
-// — cache-based with write-allocate. The core under test sits at flash
-// position pos with pad bytes of alignment padding; the others take the
-// remaining positions in order, each offset by 0x10000. RecordReplay turns
-// the result into a campaign environment.
-func PlacedJobs(routine string, underTest, active int, pos, pad uint32, cached bool) (soc.Config, [soc.NumCores]*CoreJob, error) {
-	var jobs [soc.NumCores]*CoreJob
-	if underTest < 0 || underTest >= active || active > soc.NumCores {
-		return soc.Config{}, jobs, fmt.Errorf("bad placement: core %d of %d active", underTest, active)
-	}
-	cfg := soc.DefaultConfig()
-	for id := 0; id < soc.NumCores; id++ {
-		cfg.Cores[id].Active = id < active
-		cfg.Cores[id].CachesOn = cached
-		cfg.Cores[id].WriteAlloc = true
-	}
-	var strat Strategy = Plain{}
-	if cached {
-		strat = CacheBased{WriteAllocate: true}
-	}
-	positions := []uint32{soc.CodeLow, soc.CodeMid, soc.CodeHigh}
-	slot := 0
-	for id := 0; id < active; id++ {
-		r, err := sbst.NewRoutineByName(routine, sbst.RoutineOptions{
-			DataBase:    mem.SRAMBase + 0x2000*uint32(id+1),
-			CoreID:      id,
-			TriggerReps: 2, // keep ICU routines short for fault grading
-		})
-		if err != nil {
-			return soc.Config{}, jobs, err
-		}
-		base, alignPad := pos, pad
-		if id != underTest {
-			if positions[slot] == pos {
-				slot++
-			}
-			base, alignPad = positions[slot%len(positions)]+0x10000, 0
-			slot++
-		}
-		jobs[id] = &CoreJob{Routine: r, Strategy: strat, CodeBase: base, AlignPad: alignPad}
-	}
-	return cfg, jobs, nil
-}
 
 // RecordReplay is the one campaign builder: it runs the fault-free
 // full-system golden of jobs under cfg while recording every core's bus

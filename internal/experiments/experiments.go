@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mem"
-	"repro/internal/sbst"
 	"repro/internal/soc"
 	"repro/internal/telemetry"
 )
@@ -74,22 +72,6 @@ const maxRunCycles = 6_000_000
 // coreName maps core IDs to the paper's labels.
 func coreName(id int) string { return string(rune('A' + id)) }
 
-func dataBaseFor(id int) uint32 { return mem.SRAMBase + 0x2000*uint32(id+1) }
-
-// positions returns the three flash placements of the Table II scenarios.
-func positions() []uint32 { return []uint32{soc.CodeLow, soc.CodeMid, soc.CodeHigh} }
-
-// baseConfig returns an SoC configuration with the first n cores active.
-func baseConfig(n int, cached bool) soc.Config {
-	cfg := soc.DefaultConfig()
-	for id := 0; id < soc.NumCores; id++ {
-		cfg.Cores[id].Active = id < n
-		cfg.Cores[id].CachesOn = cached
-		cfg.Cores[id].WriteAlloc = true
-	}
-	return cfg
-}
-
 // ---------------------------------------------------------------------------
 // Table I: stalls due to the memory subsystem vs number of active cores.
 
@@ -113,17 +95,12 @@ func TableI(o Options) ([]TableIRow, error) {
 	for n := 1; n <= soc.NumCores; n++ {
 		var ifSum, memSum int64
 		for _, ph := range phases {
-			cfg := baseConfig(n, false)
-			var jobs [soc.NumCores]*core.CoreJob
+			cfg, jobs, err := core.PlacedJobs("stl", 0, n, soc.CodeLow, 0, false)
+			if err != nil {
+				return nil, err
+			}
 			for id := 0; id < n; id++ {
 				cfg.Cores[id].StartDelay = ph[id]
-				var routines []*sbst.Routine
-				routines = append(routines, sbst.StandardSTL(dataBaseFor(id))...)
-				jobs[id] = &core.CoreJob{
-					Routines: routines,
-					Strategy: core.Plain{},
-					CodeBase: positions()[id%3] + uint32(id)*0x4000,
-				}
 			}
 			results, _, err := core.RunJobs(cfg, jobs, maxRunCycles)
 			if err != nil {
@@ -170,7 +147,7 @@ type scenarioSpec struct {
 func tableIIScenarios(quick bool) []scenarioSpec {
 	var out []scenarioSpec
 	for _, active := range []int{2, 3} {
-		for _, pos := range positions() {
+		for _, pos := range soc.CodePositions {
 			for _, pad := range []uint32{0, 8, 16} {
 				out = append(out, scenarioSpec{active, pos, pad})
 			}

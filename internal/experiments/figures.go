@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/asm"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/sbst"
@@ -28,7 +29,7 @@ type Figure1Result struct {
 // producer and consumer share one flash line (aligned) or straddle a line
 // boundary (pad), preceded by filler so the pair is mid-stream.
 func figure1Routine(straddle bool) *sbst.Routine {
-	r := &sbst.Routine{Name: "fig1", Target: "forwarding", DataBase: dataBaseFor(0),
+	r := &sbst.Routine{Name: "fig1", Target: "forwarding", DataBase: core.DataWindow(0),
 		DataWords: []uint32{0x5A5A5A5A}}
 	r.Blocks = []sbst.Block{{Name: "pair", Emit: func(b *asm.Builder) {
 		b.Load(isa.OpLW, 5, isa.RegBase, 0)
@@ -55,29 +56,20 @@ func figure1Routine(straddle bool) *sbst.Routine {
 // Figure1 reproduces both halves of the figure.
 func Figure1(o Options) (*Figure1Result, error) {
 	run := func(active int, straddle bool) (*trace.Recorder, error) {
-		job := &core.CoreJob{
-			Routine:  figure1Routine(straddle),
-			Strategy: core.Plain{},
-			CodeBase: soc.CodeLow,
-		}
-		var jobs [soc.NumCores]*core.CoreJob
-		jobs[0] = job
-		cfg := baseConfig(active, false)
-		for id := 1; id < active; id++ {
-			jobs[id] = &core.CoreJob{
-				Routines: sbst.StandardSTL(dataBaseFor(id)),
-				Strategy: core.Plain{},
-				CodeBase: positions()[id] + uint32(id)*0x4000,
-			}
-			// Keep contending cores running past core 0's finish.
-			cfg.Cores[id].StartDelay = 0
-		}
-		// Resolve the instrumented PC window from a dry assembly.
-		b := asm.NewBuilder()
-		if err := job.Strategy.Emit(b, job.Routine); err != nil {
+		// Core 0 runs the fragment; any other active core runs the generic
+		// STL as contention.
+		cfg, jobs, err := core.PlacedJobs("stl", 0, active, soc.CodeLow, 0, false)
+		if err != nil {
 			return nil, err
 		}
-		prog, err := b.Assemble(job.CodeBase)
+		fig := figure1Routine(straddle)
+		jobs[0].Routines = []*sbst.Routine{fig}
+		// Resolve the instrumented PC window from a dry assembly.
+		b := asm.NewBuilder()
+		if err := jobs[0].Strategy.Emit(b, fig); err != nil {
+			return nil, err
+		}
+		prog, err := b.Assemble(jobs[0].CodeBase)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +156,7 @@ type Figure2Result struct {
 // Figure2 reports the structural comparison for the ICU routine (any
 // routine would do; the paper's figure is schematic).
 func Figure2(o Options) (*Figure2Result, error) {
-	r := sbst.NewICUTest(sbst.ICUOptions{DataBase: dataBaseFor(0)})
+	r := sbst.NewICUTest(sbst.ICUOptions{DataBase: core.DataWindow(0)})
 	plainSize, err := programSize(core.Plain{}, r)
 	if err != nil {
 		return nil, err
@@ -181,7 +173,7 @@ func Figure2(o Options) (*Figure2Result, error) {
 		OverheadBytes:   wrapped - plainSize,
 		Chunks:          1,
 		Iterations:      2,
-		FitsICache:      wrapped <= 8<<10,
+		FitsICache:      wrapped <= cache.ICacheConfig().SizeBytes,
 	}, nil
 }
 

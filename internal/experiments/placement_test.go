@@ -8,7 +8,7 @@ import (
 )
 
 // TestTableIIPlacementPinned pins the code placement core.PlacedJobs gives
-// every Table II scenario: which cores are active, whether their caches are
+// every Table II scenario: which cores get a job, whether their caches are
 // on, where each image sits, which core carries the alignment padding and
 // which strategy runs. A placement change moves the bus interleaving and so
 // the coverage numbers, so it must show up here first.
@@ -61,9 +61,9 @@ func TestTableIIPlacementPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			for id := 0; id < soc.NumCores; id++ {
-				c, j := cfg.Cores[id], jobs[id]
-				if c.Active != (id < spec.active) || c.CachesOn != sc.cached {
-					t.Errorf("%+v core %d: setup %d active=%v caches=%v", spec, u, id, c.Active, c.CachesOn)
+				j := jobs[id]
+				if cfg.Cores[id].CachesOn != sc.cached {
+					t.Errorf("%+v core %d: setup %d caches=%v", spec, u, id, cfg.Cores[id].CachesOn)
 				}
 				if id >= spec.active {
 					if j != nil {
@@ -99,9 +99,40 @@ func TestTableIIPlacementPinned(t *testing.T) {
 		t.Errorf("checked %d core placements, want 126", checked)
 	}
 
-	for _, bad := range []struct{ underTest, active int }{{2, 2}, {0, 4}, {-1, 3}} {
+	// The active set is cores 0..active-1 plus the core under test: core C
+	// under test with two active cores places all three, and no active
+	// cores places the core under test alone (Table III's single-core arm).
+	for _, tc := range []struct {
+		underTest, active int
+		pos, pad          uint32
+		bases             [soc.NumCores]uint32
+	}{
+		{2, 2, soc.CodeLow, 8, [soc.NumCores]uint32{0x50000, 0xb0000, 0x1000}},
+		{1, 0, soc.CodeMid, 8, [soc.NumCores]uint32{0, 0x40000, 0}},
+	} {
+		_, jobs, err := core.PlacedJobs("forwarding", tc.underTest, tc.active, tc.pos, tc.pad, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, j := range jobs {
+			var base, pad uint32
+			if j != nil {
+				base, pad = j.CodeBase, j.AlignPad
+			}
+			wantPad := uint32(0)
+			if id == tc.underTest {
+				wantPad = tc.pad
+			}
+			if base != tc.bases[id] || pad != wantPad {
+				t.Errorf("core %d with %d active: core %d at %#x pad %d, want %#x pad %d",
+					tc.underTest, tc.active, id, base, pad, tc.bases[id], wantPad)
+			}
+		}
+	}
+
+	for _, bad := range []struct{ underTest, active int }{{0, 4}, {-1, 3}, {3, 3}} {
 		if _, _, err := core.PlacedJobs("forwarding", bad.underTest, bad.active, soc.CodeLow, 0, false); err == nil {
-			t.Errorf("core %d of %d active accepted", bad.underTest, bad.active)
+			t.Errorf("core %d with %d active accepted", bad.underTest, bad.active)
 		}
 	}
 }

@@ -32,70 +32,55 @@ type TableIIIRow struct {
 	MultiNoCacheFails bool
 }
 
-// tableIIIICUReps keeps the ICU routine short for fault grading (each rep
-// adds interrupt round-trips without adding new fault excitation).
-const tableIIIICUReps = 2
-
-func icuRoutineFor(id int) *sbst.Routine {
-	return sbst.NewICUTest(sbst.ICUOptions{DataBase: dataBaseFor(id), TriggerReps: tableIIIICUReps})
-}
-
-func hdcuRoutineFor(id int) *sbst.Routine {
-	return sbst.NewHDCUTest(sbst.HDCUOptions{DataBase: dataBaseFor(id)})
-}
-
 // TableIII fault-grades the interrupt control unit and hazard detection
 // control unit per core.
 func TableIII(o Options) ([]TableIIIRow, error) {
 	defer o.span("table3")()
 	type module struct {
-		name  string
-		mk    func(id int) *sbst.Routine
-		sites func(id int) []fault.Site
+		name, routine string
+		sites         func() []fault.Site
 	}
 	modules := []module{
-		{
-			name: "ICU",
-			mk:   icuRoutineFor,
-			sites: func(id int) []fault.Site {
-				return fault.ICU(fault.ListOptions{BitStep: 1})
-			},
-		},
-		{
-			name: "HDCU",
-			mk:   hdcuRoutineFor,
-			sites: func(id int) []fault.Site {
-				s := fault.HDCU(fault.ListOptions{BitStep: 1})
-				return append(s, fault.PerfCounters(fault.ListOptions{BitStep: o.bitStep()})...)
-			},
-		},
+		{"ICU", "icu", func() []fault.Site {
+			return fault.ICU(fault.ListOptions{BitStep: 1})
+		}},
+		{"HDCU", "hdcu", func() []fault.Site {
+			s := fault.HDCU(fault.ListOptions{BitStep: 1})
+			return append(s, fault.PerfCounters(fault.ListOptions{BitStep: o.bitStep()})...)
+		}},
 	}
 
 	var rows []TableIIIRow
 	for id := 0; id < soc.NumCores; id++ {
 		for _, m := range modules {
-			sites := m.sites(id)
+			sites := m.sites()
 			fault.SortSites(sites)
 			if o.Quick {
 				sites = fault.Sample(sites, 2)
 			}
+			// Every core under test keeps its own bank across the arms.
+			pos := soc.CodePositions[id]
+			campaign := func(active int, cached bool) (fault.Report, error) {
+				cfg, jobs, err := core.PlacedJobs(m.routine, id, active, pos, 0, cached)
+				if err != nil {
+					return fault.Report{}, err
+				}
+				return runCampaign(o, id, cfg, jobs, sites)
+			}
 
 			// Single-core, no caches, plain execution.
-			singleRep, err := runCampaign(o, id, singleCoreConfig(id, false),
-				moduleJobs(id, 1, m.mk, func(int) core.Strategy { return core.Plain{} }), sites)
+			singleRep, err := campaign(0, false)
 			if err != nil {
 				return nil, fmt.Errorf("table III %s core %s single: %w", m.name, coreName(id), err)
 			}
 
 			// Multi-core, cache-based.
-			multiRep, err := runCampaign(o, id, baseConfig(3, true),
-				moduleJobs(id, 3, m.mk,
-					func(int) core.Strategy { return core.CacheBased{WriteAllocate: true} }), sites)
+			multiRep, err := campaign(soc.NumCores, true)
 			if err != nil {
 				return nil, fmt.Errorf("table III %s core %s multi: %w", m.name, coreName(id), err)
 			}
 
-			fails, err := multiNoCacheFails(id, m.mk, singleRep.Golden, o)
+			fails, err := multiNoCacheFails(id, m.routine, pos, singleRep.Golden, o)
 			if err != nil {
 				return nil, err
 			}
@@ -113,53 +98,20 @@ func TableIII(o Options) ([]TableIIIRow, error) {
 	return rows, nil
 }
 
-// singleCoreConfig activates only core id.
-func singleCoreConfig(id int, cached bool) soc.Config {
-	cfg := soc.DefaultConfig()
-	for k := 0; k < soc.NumCores; k++ {
-		cfg.Cores[k].Active = k == id
-		cfg.Cores[k].CachesOn = cached
-		cfg.Cores[k].WriteAlloc = true
-	}
-	return cfg
-}
-
-// moduleJobs builds jobs where every active core runs its own copy of the
-// module routine.
-func moduleJobs(underTest, active int, mk func(id int) *sbst.Routine, strat func(id int) core.Strategy) [soc.NumCores]*core.CoreJob {
-	var jobs [soc.NumCores]*core.CoreJob
-	n := active
-	if underTest >= n {
-		n = underTest + 1
-	}
-	for id := 0; id < n; id++ {
-		if active == 1 && id != underTest {
-			continue
-		}
-		jobs[id] = &core.CoreJob{
-			Routine:  mk(id),
-			Strategy: strat(id),
-			CodeBase: positions()[id%3] + uint32(id)*0x8000,
-		}
-	}
-	return jobs
-}
-
 // multiNoCacheFails checks that across several plain multi-core
-// configurations the routine never reproduces the single-core golden.
-func multiNoCacheFails(id int, mk func(id int) *sbst.Routine, golden uint32, o Options) (bool, error) {
+// configurations — the core under test at pos with each alignment padding —
+// the routine never reproduces the single-core golden.
+func multiNoCacheFails(id int, routine string, pos, golden uint32, o Options) (bool, error) {
 	pads := []uint32{0, 8}
 	if o.Quick {
 		pads = pads[:1]
 	}
 	for _, pad := range pads {
-		jobs := moduleJobs(id, 3, mk, func(int) core.Strategy { return core.Plain{} })
-		for _, j := range jobs {
-			if j != nil {
-				j.AlignPad = pad
-			}
+		cfg, jobs, err := core.PlacedJobs(routine, id, soc.NumCores, pos, pad, false)
+		if err != nil {
+			return false, err
 		}
-		results, _, err := core.RunJobs(baseConfig(3, false), jobs, maxRunCycles)
+		results, _, err := core.RunJobs(cfg, jobs, maxRunCycles)
 		if err != nil {
 			return false, err
 		}
@@ -203,12 +155,12 @@ type TableIVRow struct {
 func TableIV(o Options) ([]TableIVRow, error) {
 	defer o.span("table4")()
 	mk := func() *sbst.Routine {
-		return sbst.NewICUTest(sbst.ICUOptions{DataBase: dataBaseFor(0)})
+		return sbst.NewICUTest(sbst.ICUOptions{DataBase: core.DataWindow(0)})
 	}
 	var rows []TableIVRow
 
 	tcm := core.TCMBased{CoreID: 0}
-	tcmRes, _, err := core.RunSingle(singleCoreConfig(0, false), 0,
+	tcmRes, _, err := core.RunSingle(core.SoCConfig(false), 0,
 		&core.CoreJob{Routine: mk(), Strategy: tcm, CodeBase: soc.CodeLow}, maxRunCycles)
 	if err != nil {
 		return nil, err
@@ -226,7 +178,7 @@ func TableIV(o Options) ([]TableIVRow, error) {
 	})
 
 	cb := core.CacheBased{WriteAllocate: true}
-	cbRes, _, err := core.RunSingle(singleCoreConfig(0, true), 0,
+	cbRes, _, err := core.RunSingle(core.SoCConfig(true), 0,
 		&core.CoreJob{Routine: mk(), Strategy: cb, CodeBase: soc.CodeLow}, maxRunCycles)
 	if err != nil {
 		return nil, err

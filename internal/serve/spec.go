@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mem"
-	"repro/internal/sbst"
 	"repro/internal/soc"
 )
 
@@ -111,13 +109,6 @@ func (s Spec) Build() (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkRoutine := func(id int) (*sbst.Routine, error) {
-		return sbst.NewRoutineByName(spec.Routine, sbst.RoutineOptions{
-			DataBase:    mem.SRAMBase + 0x2000*uint32(id+1),
-			CoreID:      id,
-			TriggerReps: 2,
-		})
-	}
 	var strat core.Strategy
 	cached := false
 	switch spec.Strategy {
@@ -158,27 +149,18 @@ func (s Spec) Build() (*Campaign, error) {
 	if spec.Multicore {
 		active = soc.NumCores
 	}
-	cfg := soc.DefaultConfig()
-	var jobs [soc.NumCores]*core.CoreJob
-	for id := 0; id < soc.NumCores; id++ {
-		cfg.Cores[id].Active = id < active || id == spec.Core
-		cfg.Cores[id].CachesOn = cached
-		cfg.Cores[id].WriteAlloc = true
-		if cfg.Cores[id].Active {
-			r, err := mkRoutine(id)
-			if err != nil {
-				return nil, fmt.Errorf("serve: %w", err)
-			}
-			jobs[id] = &core.CoreJob{
-				Routine:  r,
-				Strategy: core.Plain{},
-				CodeBase: soc.CodeLow + uint32(id)*0x10000,
-			}
-			if id == spec.Core {
-				jobs[id].Strategy = strat
-			}
+	cfg, jobs, err := core.PlacedJobs(spec.Routine, spec.Core, active, soc.CodeLow, 0, cached)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	// Spec.Build keeps the layout its content addresses pin: every image
+	// in flash bank 0, 64 KiB apart, with plain contender cores.
+	for id, j := range jobs {
+		if j != nil {
+			j.CodeBase, j.Strategy = soc.CodeLow+uint32(id)*0x10000, core.Plain{}
 		}
 	}
+	jobs[spec.Core].Strategy = strat
 
 	replayCfg, budget, err := core.RecordReplay(cfg, jobs, spec.Core)
 	if err != nil {

@@ -22,12 +22,16 @@ const NumCores = 3
 // position" scenario knob exposing small bank-to-bank differences.
 func DefaultFlashBankLatencies() []int { return []int{8, 9, 10, 9} }
 
-// Code placement bases used by the Table II scenarios.
+// Code placement bases of every placed scenario (see core.PlacedJobs),
+// one per flash bank in use.
 const (
 	CodeLow  = 0x0000_1000
 	CodeMid  = 0x0004_0000 // bank 1: one extra wait state
 	CodeHigh = 0x000A_0000 // bank 2: two extra wait states
 )
+
+// CodePositions lists the code placement bases in placement order.
+var CodePositions = [...]uint32{CodeLow, CodeMid, CodeHigh}
 
 // CoreSetup configures one core slot.
 type CoreSetup struct {
