@@ -1,63 +1,14 @@
 package telemetry
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"strings"
 	"testing"
+
+	"repro/internal/doccheck"
 )
 
 // TestExportedIdentifiersDocumented fails on any exported identifier in
-// this package that lacks a doc comment — the same gate internal/coverage
-// runs, applied here because telemetry is the extension point every new
-// campaign metric lands in.
+// this package that lacks a doc comment. CI runs it as the doc-presence
+// gate (go vet covers the rest of the tree).
 func TestExportedIdentifiersDocumented(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				checkDecl(t, fset, decl)
-			}
-		}
-	}
-}
-
-func checkDecl(t *testing.T, fset *token.FileSet, decl ast.Decl) {
-	t.Helper()
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if d.Name.IsExported() && d.Doc == nil {
-			t.Errorf("%s: exported func %s has no doc comment", fset.Position(d.Pos()), d.Name.Name)
-		}
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				if s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
-					t.Errorf("%s: exported type %s has no doc comment", fset.Position(s.Pos()), s.Name.Name)
-				}
-			case *ast.ValueSpec:
-				for _, name := range s.Names {
-					if name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
-						t.Errorf("%s: exported %s %s has no doc comment", fset.Position(name.Pos()), declKind(d.Tok), name.Name)
-					}
-				}
-			}
-		}
-	}
-}
-
-func declKind(tok token.Token) string {
-	if tok == token.CONST {
-		return "const"
-	}
-	return "var"
+	doccheck.Exported(t, ".")
 }
