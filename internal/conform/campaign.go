@@ -15,34 +15,15 @@ import (
 // shortcuts) must produce bit-identical fault reports on any universe, in
 // any environment. The fuzz scenario draws random environments and checks
 // the *full* universe — no site cap — which is affordable precisely
-// because both sides are arenas. CampaignEnv/CompareEngines are also the
-// building blocks the fixed mode-equivalence tests use.
-
-// CampaignEnv is one replayed fault-campaign environment: a multi-core
-// golden configuration and the core under test.
-type CampaignEnv struct {
-	Cfg       soc.Config
-	Jobs      [soc.NumCores]*core.CoreJob
-	UnderTest int
-}
-
-// NewCampaignEnv builds the standard campaign environment, the code
-// placement of core.PlacedJobs: the named library routine on cores
-// 0..active-1 and the core under test, the core under test placed at pos
-// with pad bytes of alignment padding, the others at the remaining code
-// positions.
-func NewCampaignEnv(module string, underTest, active int, pos, pad uint32, cached bool) (*CampaignEnv, error) {
-	cfg, jobs, err := core.PlacedJobs(module, underTest, active, pos, pad, cached)
-	if err != nil {
-		return nil, fmt.Errorf("conform: %w", err)
-	}
-	return &CampaignEnv{Cfg: cfg, Jobs: jobs, UnderTest: underTest}, nil
-}
+// because both sides are arenas. Every environment is a core.Campaign
+// (core.PlacedJobs + core.NewCampaign); CompareEngines is also the
+// building block the fixed mode-equivalence tests use.
 
 // randomPlacement draws a random Table II-shaped environment for
-// NewCampaignEnv: two or three active cores, the core under test, its code
-// position and padding, and plain or cached execution. The draw order is
-// part of every seed's meaning: changing it replays different environments.
+// core.PlacedJobs: two or three active cores, the core under test, its
+// code position and padding, and plain or cached execution. The draw order
+// is part of every seed's meaning: changing it replays different
+// environments.
 func randomPlacement(rng *rand.Rand) (active, underTest int, pos, pad uint32, cached bool) {
 	active = 2 + rng.Intn(soc.NumCores-1)
 	underTest = rng.Intn(active)
@@ -52,32 +33,21 @@ func randomPlacement(rng *rand.Rand) (active, underTest int, pos, pad uint32, ca
 	return active, underTest, pos, pad, cached
 }
 
-// CompareEngines runs the campaign under both arena modes (optimized and
-// reference) and returns a description of any report divergence ("" when
-// bit-identical). The golden full-system run and traffic recording happen
-// once; both modes then fault-simulate against the same replayed
-// environment.
-func (e *CampaignEnv) CompareEngines(sites []fault.Site) (string, error) {
-	replayCfg, budget, err := core.RecordReplay(e.Cfg, e.Jobs, e.UnderTest)
-	if err != nil {
-		return "", err
-	}
-	return e.compareOn(replayCfg, budget, sites)
-}
-
-// compareOn runs both arena modes on an already-recorded environment.
-func (e *CampaignEnv) compareOn(replayCfg soc.Config, budget int64, sites []fault.Site) (string, error) {
-	ref, err := core.RunCampaignOpts(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, core.CampaignOptions{Reference: true})
+// CompareEngines runs campaign c under both arena modes (optimized and
+// reference) against its one recorded environment and returns a
+// description of any report divergence ("" when bit-identical).
+func CompareEngines(c *core.Campaign) (string, error) {
+	ref, err := core.RunCampaignOpts(c.Cfg, c.Core, c.Job, c.Sites, c.Budget,
+		core.CampaignOptions{Reference: true})
 	if err != nil {
 		return "", fmt.Errorf("reference arena: %w", err)
 	}
-	opt, err := core.RunCampaignOpts(replayCfg, e.UnderTest, e.Jobs[e.UnderTest], sites,
-		budget, core.CampaignOptions{})
+	opt, err := core.RunCampaignOpts(c.Cfg, c.Core, c.Job, c.Sites, c.Budget,
+		core.CampaignOptions{})
 	if err != nil {
 		return "", fmt.Errorf("optimized arena: %w", err)
 	}
-	return DiffReports(ref, opt, sites), nil
+	return DiffReports(ref, opt, c.Sites), nil
 }
 
 // DiffReports compares two campaign reports site by site and summarises
@@ -141,16 +111,18 @@ func runCampaignSeed(seed int64) *Mismatch {
 	}
 	fault.SortSites(sites)
 
-	env, err := NewCampaignEnv(module, underTest, active, pos, pad, cached)
+	cfg, jobs, err := core.PlacedJobs(module, underTest, active, pos, pad, cached)
 	if err != nil {
 		return &Mismatch{Scenario: "campaign", Seed: seed, Detail: err.Error()}
 	}
-	replayCfg, budget, err := core.RecordReplay(env.Cfg, env.Jobs, env.UnderTest)
+	c, err := core.NewCampaign(cfg, jobs, underTest, sites)
 	if err != nil {
 		return &Mismatch{Scenario: "campaign", Seed: seed, Detail: err.Error()}
 	}
 	recheck := func(sub []fault.Site) string {
-		detail, err := env.compareOn(replayCfg, budget, sub)
+		part := *c
+		part.Sites = sub
+		detail, err := CompareEngines(&part)
 		if err != nil {
 			return err.Error()
 		}

@@ -475,10 +475,11 @@ func (sp progSpec) check(p *progen.Program, mut Mutation, cov *coverage.Map) str
 	if mut != nil {
 		target = mutate(prog, mut)
 	}
-	regs, scratch, err := runSoC(target, p.Cfg, coreID, sp.cached, sp.contend, cov)
+	s, err := runSoC(target, p.Cfg, coreID, sp.cached, sp.contend, cov)
 	if err != nil {
 		return fmt.Sprintf("soc: %v", err)
 	}
+	regs, scratch := readState(s, coreID, p.Cfg)
 	var diffs []string
 	diffs = append(diffs, diffRegs(regs, refRegs)...)
 	if !sp.cached {
@@ -510,20 +511,10 @@ func checkArena(p *progen.Program, coreID int, refRegs [32]uint32, refScratch []
 		// collect.
 		ar.SoC().SetCoverage(cov)
 	}
-	read := func() ([32]uint32, []uint32) {
-		s := ar.SoC()
-		var regs [32]uint32
-		for r := uint8(0); r < 32; r++ {
-			regs[r] = s.Cores[coreID].Core.Reg(r)
-		}
-		return regs, readScratch(p.Cfg, func(addr uint32) uint32 {
-			return mem.ReadWord(s.SRAM, addr-mem.SRAMBase)
-		})
-	}
 	if _, ok := ar.Run(fault.None); !ok {
 		return "arena: fault-free run did not complete cleanly"
 	}
-	regs1, scratch1 := read()
+	regs1, scratch1 := readState(ar.SoC(), coreID, p.Cfg)
 	var diffs []string
 	diffs = append(diffs, diffRegs(regs1, refRegs)...)
 	diffs = append(diffs, diffScratch(scratch1, refScratch)...)
@@ -533,7 +524,7 @@ func checkArena(p *progen.Program, coreID int, refRegs [32]uint32, refScratch []
 	if _, ok := ar.Run(fault.None); !ok {
 		return "arena: second fault-free run did not complete cleanly"
 	}
-	regs2, scratch2 := read()
+	regs2, scratch2 := readState(ar.SoC(), coreID, p.Cfg)
 	diffs = diffs[:0]
 	for r := 1; r <= progen.MaxOperandReg; r++ {
 		if regs2[r] != regs1[r] {
@@ -586,11 +577,22 @@ func socConfig(coreID int, cached, contend bool) soc.Config {
 	return cfg
 }
 
+// readState reads core coreID's registers and the program's scratch+spill
+// window off s.
+func readState(s *soc.SoC, coreID int, cfg progen.Config) ([32]uint32, []uint32) {
+	var regs [32]uint32
+	for r := uint8(0); r < 32; r++ {
+		regs[r] = s.Cores[coreID].Core.Reg(r)
+	}
+	return regs, readScratch(cfg, func(addr uint32) uint32 {
+		return mem.ReadWord(s.SRAM, addr-mem.SRAMBase)
+	})
+}
+
 // runSoC executes the program on core coreID, optionally with the two
 // other cores running the generic STL as bus contention, collecting
-// coverage into cov when non-nil.
-func runSoC(prog *asm.Program, cfg progen.Config, coreID int, cached, contend bool, cov *coverage.Map) ([32]uint32, []uint32, error) {
-	var regs [32]uint32
+// coverage into cov when non-nil, and returns the drained SoC.
+func runSoC(prog *asm.Program, cfg progen.Config, coreID int, cached, contend bool, cov *coverage.Map) (*soc.SoC, error) {
 	s := soc.New(socConfig(coreID, cached, contend))
 	if cov != nil {
 		s.SetCoverage(cov)
@@ -606,7 +608,7 @@ func runSoC(prog *asm.Program, cfg progen.Config, coreID int, cached, contend bo
 		}
 	}
 	if err := s.Load(prog); err != nil {
-		return regs, nil, err
+		return nil, err
 	}
 	s.Start(coreID, prog.Base)
 	if cfg.Interrupts.Enabled() {
@@ -618,22 +620,16 @@ func runSoC(prog *asm.Program, cfg progen.Config, coreID int, cached, contend bo
 				continue
 			}
 			if err := startContender(s, id); err != nil {
-				return regs, nil, err
+				return nil, err
 			}
 		}
 	}
 	res := s.Run(socBudget)
 	u := s.Cores[coreID]
 	if res.TimedOut || u.Core.Wedged() {
-		return regs, nil, fmt.Errorf("run failed: timeout=%v wedged=%v", res.TimedOut, u.Core.Wedged())
+		return nil, fmt.Errorf("run failed: timeout=%v wedged=%v", res.TimedOut, u.Core.Wedged())
 	}
-	for r := uint8(0); r < 32; r++ {
-		regs[r] = u.Core.Reg(r)
-	}
-	scratch := readScratch(cfg, func(addr uint32) uint32 {
-		return mem.ReadWord(s.SRAM, addr-mem.SRAMBase)
-	})
-	return regs, scratch, nil
+	return s, nil
 }
 
 // startContender loads and starts the generic STL on core id — the bus

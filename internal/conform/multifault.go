@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/fault"
-	"repro/internal/soc"
 )
 
 // Multi-fault conformance: simultaneous fault groups (fault.Composite) and
@@ -75,16 +74,15 @@ func runGroups(ar *core.Arena, groups [][]fault.Site) []groupVerdict {
 	return out
 }
 
-// compareGroups runs the group universe under both arena modes (fresh
-// arenas, same interrupt plan) and describes any divergence — golden run
-// included ("" when bit-identical).
-func compareGroups(env *CampaignEnv, replayCfg soc.Config, budget int64, plan archint.Plan, groups [][]fault.Site) (string, error) {
-	job := env.Jobs[env.UnderTest]
-	opt, err := core.NewArena(replayCfg, env.UnderTest, job, budget, core.ArenaOptions{Plan: plan})
+// compareGroups runs the group universe in campaign c's environment under
+// both arena modes (fresh arenas, same interrupt plan) and describes any
+// divergence — golden run included ("" when bit-identical).
+func compareGroups(c *core.Campaign, plan archint.Plan, groups [][]fault.Site) (string, error) {
+	opt, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Plan: plan})
 	if err != nil {
 		return "", fmt.Errorf("optimized arena: %w", err)
 	}
-	ref, err := core.NewArena(replayCfg, env.UnderTest, job, budget, core.ArenaOptions{NoEarlyExit: true, Plan: plan})
+	ref, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{NoEarlyExit: true, Plan: plan})
 	if err != nil {
 		return "", fmt.Errorf("reference arena: %w", err)
 	}
@@ -140,20 +138,20 @@ func runMultifaultSeed(seed int64) *Mismatch {
 		sites = fault.Sample(sites, (len(sites)+maxSteerCandidates-1)/maxSteerCandidates)
 	}
 
-	env, err := NewCampaignEnv(module, underTest, active, pos, pad, cached)
+	cfg, jobs, err := core.PlacedJobs(module, underTest, active, pos, pad, cached)
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: err.Error()}
 	}
-	replayCfg, budget, err := core.RecordReplay(env.Cfg, env.Jobs, env.UnderTest)
+	c, err := core.NewCampaign(cfg, jobs, underTest, sites)
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: err.Error()}
 	}
 
-	steer, err := core.NewArena(replayCfg, underTest, env.Jobs[underTest], budget, core.ArenaOptions{})
+	steer, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{})
 	if err != nil {
 		return &Mismatch{Scenario: "multifault", Seed: seed, Detail: "steer arena: " + err.Error()}
 	}
-	picked, _ := steerSites(steer, sites, steeredSites)
+	picked, _ := steerSites(steer, c.Sites, steeredSites)
 	groups := fault.PairGroups(picked)
 
 	// Half the seeds cross the fault groups with a planned interrupt
@@ -164,14 +162,14 @@ func runMultifaultSeed(seed int64) *Mismatch {
 	var plan archint.Plan
 	if rng.Intn(2) == 0 {
 		plan = archint.RandomPlan(rng)
-		gate, err := core.NewArena(replayCfg, underTest, env.Jobs[underTest], budget, core.ArenaOptions{Plan: plan})
+		gate, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{Plan: plan})
 		if err != nil || !gate.Stats().GoldenOK {
 			plan = archint.Plan{}
 		}
 	}
 
 	recheck := func(sub [][]fault.Site) string {
-		detail, err := compareGroups(env, replayCfg, budget, plan, sub)
+		detail, err := compareGroups(c, plan, sub)
 		if err != nil {
 			return err.Error()
 		}

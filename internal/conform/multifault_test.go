@@ -17,20 +17,20 @@ import (
 // never folded) would pick zero sites and make the scenario vacuous —
 // exactly what this test exists to catch.
 func TestMultifaultSteeringReachesCoverage(t *testing.T) {
-	env, err := NewCampaignEnv("forwarding", 0, 2, soc.CodeLow, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayCfg, budget, err := core.RecordReplay(env.Cfg, env.Jobs, env.UnderTest)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sites := fault.ForwardingLogic(fault.ListOptions{DataBits: 32, BitStep: 4})
 	fault.SortSites(sites)
 	if len(sites) > maxSteerCandidates {
 		sites = fault.Sample(sites, (len(sites)+maxSteerCandidates-1)/maxSteerCandidates)
 	}
-	ar, err := core.NewArena(replayCfg, 0, env.Jobs[0], budget, core.ArenaOptions{})
+	cfg, jobs, err := core.PlacedJobs("forwarding", 0, 2, soc.CodeLow, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCampaign(cfg, jobs, 0, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := core.NewArena(c.Cfg, c.Core, c.Job, c.Budget, core.ArenaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

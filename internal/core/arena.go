@@ -2,16 +2,13 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sync"
 	"time"
 
 	"repro/internal/archint"
-	"repro/internal/bus"
 	"repro/internal/fault"
-	"repro/internal/isa"
 	"repro/internal/soc"
 	"repro/internal/telemetry"
 )
@@ -35,7 +32,7 @@ import (
 //     golden store count (plus slack) — the runaway-loop class.
 //
 // The margins apply the same stall-factor assumption the campaign cycle
-// budget (see RecordReplay) embodies, at store-gap rather than
+// budget (see NewCampaign) embodies, at store-gap rather than
 // whole-run granularity, so both modes misclassify only runs slowed by
 // more than 8x — and the mode-equivalence tests pin that they agree on
 // every site of the shipped universes. ArenaOptions.NoEarlyExit restores
@@ -236,25 +233,10 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 		// stale cursor; plans force the full-replay path.
 		opt.CheckpointInterval = 0
 	}
-	prog, err := buildProgram(job)
-	if err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", id, err)
-	}
-	s := soc.New(cfg)
-	if err := s.Load(prog); err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", id, err)
-	}
-	for _, r := range job.routines() {
-		loadRoutineData(s, r)
-	}
-	s.SealBaseline()
-
-	a := &Arena{s: s, id: id, entry: prog.Base, budget: budget, cfg: cfg, job: job, opt: opt,
+	a := &Arena{id: id, budget: budget, cfg: cfg, job: job, opt: opt,
 		met: newArenaMetrics(opt.Telemetry)}
-	s.Cores[id].Core.SetStoreObserver(a.observe)
-	if opt.Plan.Enabled() {
-		// The attachment survives Reset; the cursor rewinds with the core.
-		s.SetInjector(id, archint.NewInjector(opt.Plan))
+	if err := a.build(); err != nil {
+		return nil, err
 	}
 
 	// Golden capture run: records the observable trace and calibrates the
@@ -268,7 +250,7 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 	// reference to be equivalent to.
 	capturePlane := fault.Plane(fault.None)
 	if opt.CheckpointInterval > 0 {
-		a.probe = fault.NewMuxProbe(s.Cycle)
+		a.probe = fault.NewMuxProbe(a.s.Cycle)
 		capturePlane = a.probe
 	}
 	a.capturing = true
@@ -292,32 +274,37 @@ func NewArena(cfg soc.Config, id int, job *CoreJob, budget int64, opt ArenaOptio
 // restorable into any identically-built SoC, so sharing ckpts across
 // workers is safe.
 func newArenaClone(proto *Arena) (*Arena, error) {
-	prog, err := buildProgram(proto.job)
-	if err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", proto.id, err)
-	}
-	s := soc.New(proto.cfg)
-	if err := s.Load(prog); err != nil {
-		return nil, fmt.Errorf("arena core%d: %w", proto.id, err)
-	}
-	for _, r := range proto.job.routines() {
-		loadRoutineData(s, r)
-	}
-	s.SealBaseline()
-
 	a := &Arena{
-		s: s, id: proto.id, entry: prog.Base, budget: proto.budget,
+		id: proto.id, budget: proto.budget,
 		early: proto.early, cfg: proto.cfg, job: proto.job, opt: proto.opt,
 		golden: proto.golden, hangLimit: proto.hangLimit,
 		floodCap: proto.floodCap, goldenRes: proto.goldenRes,
 		goldenOK: proto.goldenOK, probe: proto.probe, ckpts: proto.ckpts,
 		met: newArenaMetrics(proto.opt.Telemetry),
 	}
+	if err := a.build(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// build assembles the arena's SoC from its construction inputs: program
+// and routine data loaded, the baseline sealed, the store observer and any
+// interrupt injector attached (both survive Reset; the injector's cursor
+// rewinds with the core).
+func (a *Arena) build() error {
+	s := soc.New(a.cfg)
+	entry, err := loadJob(s, a.job)
+	if err != nil {
+		return fmt.Errorf("arena core%d: %w", a.id, err)
+	}
+	s.SealBaseline()
 	s.Cores[a.id].Core.SetStoreObserver(a.observe)
 	if a.opt.Plan.Enabled() {
 		s.SetInjector(a.id, archint.NewInjector(a.opt.Plan))
 	}
-	return a, nil
+	a.s, a.entry = s, entry
+	return nil
 }
 
 // calibrate derives the watchdog bounds from the captured golden trace.
@@ -546,19 +533,8 @@ func (a *Arena) stepRun() (sig uint32, ok, cut bool) {
 		}
 	}
 
-	u := s.Cores[a.id]
 	done := s.Done() && !aborted
-	a.last = RunResult{
-		Signature: u.Core.Reg(isa.RegSig),
-		OK:        done && !u.Core.Wedged(),
-		Wedged:    u.Core.Wedged(),
-		Cycles:    u.Core.Cycle(),
-		IFStall:   u.Core.Counter(fault.CntIFStall),
-		MemStall:  u.Core.Counter(fault.CntMemStall),
-		HazStall:  u.Core.Counter(fault.CntHazStall),
-		Issued2:   u.Core.Counter(fault.CntIssued2),
-		Instret:   u.Core.Counter(fault.CntInstret),
-	}
+	a.last = readResult(s, a.id, done)
 	return a.last.Signature, a.last.OK, !done
 }
 
@@ -587,23 +563,21 @@ func (a *Arena) healthy() (healthy bool) {
 // quarantine retires the poisoned SoC and rebuilds the arena in place,
 // keeping the lifetime counters. A failed rebuild marks the arena dead.
 func (a *Arena) quarantine() {
-	st := a.st
-	st.Quarantines++
+	a.st.Quarantines++
 	fresh, err := NewArena(a.cfg, a.id, a.job, a.budget, a.opt)
 	if err != nil {
 		a.dead = true
-		a.st.Quarantines = st.Quarantines
-		a.noteQuarantine()
-		return
+	} else {
+		// fresh's counters are all zero (its capture run is no site and
+		// never early-exits), so the lifetime stats carry over unchanged.
+		st := a.st
+		*a = *fresh
+		a.st = st
+		// The copied SoC still notifies fresh's observer; re-point it at
+		// this arena so the monitor state it updates is the state Run
+		// consults.
+		a.s.Cores[a.id].Core.SetStoreObserver(a.observe)
 	}
-	// fresh ran its own golden capture: its early exits fold into the
-	// lifetime stats, everything else carries over unchanged.
-	st.EarlyExits += fresh.st.EarlyExits
-	*a = *fresh
-	a.st = st
-	// The copied SoC still notifies fresh's observer; re-point it at this
-	// arena so the monitor state it updates is the state Run consults.
-	a.s.Cores[a.id].Core.SetStoreObserver(a.observe)
 	a.noteQuarantine()
 }
 
@@ -719,77 +693,6 @@ func checkpointInterval(budget int64) int64 {
 	return iv
 }
 
-// CampaignFingerprint content-addresses the campaign as a pure function:
-// the assembled program image and routine data tables, the ordered fault
-// universe, and the execution environment (core, budget, SoC configuration
-// with replayed traffic). Two campaigns with equal fingerprints compute
-// identical reports, which is what makes journaled verdicts transferable
-// across process restarts.
-func CampaignFingerprint(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budget int64) (fault.JournalHeader, error) {
-	prog, err := buildProgram(job)
-	if err != nil {
-		return fault.JournalHeader{}, err
-	}
-	ph := fnv.New64a()
-	fmt.Fprintf(ph, "base %08x:", prog.Base)
-	for _, w := range prog.Words {
-		fmt.Fprintf(ph, "%08x", w)
-	}
-	for _, r := range job.routines() {
-		fmt.Fprintf(ph, "|data %08x:", r.DataBase)
-		for _, w := range r.DataWords {
-			fmt.Fprintf(ph, "%08x", w)
-		}
-	}
-	eh := fnv.New64a()
-	for k := 0; k < soc.NumCores; k++ {
-		// Normalise exactly like NewArena/fallbackRun: only core id is
-		// active and planes are per-run state, not environment.
-		cfg.Cores[k].Active = k == id
-		cfg.Cores[k].Plane = nil
-	}
-	fmt.Fprintf(eh, "core %d budget %d cfg %+v", id, budget, cfg)
-	return fault.JournalHeader{
-		Program:  fmt.Sprintf("%016x", ph.Sum64()),
-		Universe: fault.HashSites(sites),
-		Env:      fmt.Sprintf("%016x", eh.Sum64()),
-		Sites:    len(sites),
-	}, nil
-}
-
-// Campaign budget policy: every fault run may take budgetFactor times the
-// golden run's cycles plus budgetSlack before the watchdog calls it hung.
-// The arena's early-exit watchdogs apply the same factor and slack at
-// store-gap granularity (see Arena.calibrate). goldenCap bounds the
-// fault-free full-system run itself.
-const (
-	budgetFactor = 8
-	budgetSlack  = 20_000
-	goldenCap    = 10_000_000
-)
-
-// RecordReplay is the one campaign builder: it runs the fault-free
-// full-system golden of jobs under cfg while recording every core's bus
-// traffic except core id's, requires a clean run on core id, and returns
-// cfg with that traffic set as the replayed background plus the per-run
-// cycle budget derived from the golden cycle count. Every fault campaign
-// then simulates core id alone against the replay.
-func RecordReplay(cfg soc.Config, jobs [soc.NumCores]*CoreJob, id int) (replay soc.Config, budget int64, err error) {
-	var rec *bus.Recorder
-	results, _, err := RunJobsSetup(cfg, jobs, goldenCap, func(s *soc.SoC) {
-		rec = s.AttachRecorder(id)
-	})
-	if err != nil {
-		return soc.Config{}, 0, fmt.Errorf("golden run: %w", err)
-	}
-	golden := results[id]
-	if !golden.OK {
-		return soc.Config{}, 0, fmt.Errorf("golden run failed on core %d", id)
-	}
-	cfg.Replay = rec.EventsByMaster()
-	return cfg, golden.Cycles*budgetFactor + budgetSlack, nil
-}
-
 // RunCampaignOpts fault-simulates job on core id for every site, in the
 // replay environment cfg with the given per-run cycle budget — the shared
 // engine dispatch behind experiments campaigns, conform, cmd/faultsim and
@@ -824,7 +727,7 @@ func runCampaign(cfg soc.Config, id int, job *CoreJob, sites []fault.Site, budge
 	simOpt.OnSettle = opt.OnSettle
 	simOpt.OnGolden = opt.OnGolden
 	if opt.Journal != "" {
-		header, err := CampaignFingerprint(cfg, id, job, sites, budget)
+		header, err := fingerprint(cfg, id, job, sites, budget)
 		if err != nil {
 			return fault.Report{}, err
 		}

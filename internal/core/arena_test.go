@@ -21,11 +21,11 @@ func arenaEnv(t testing.TB, active int, cached bool) (replayCfg soc.Config, job 
 		return Plain{}
 	}
 	jobs := jobsSameRoutine(active, fwdRoutine, strat)
-	replayCfg, budget, err := RecordReplay(c, jobs, 0)
+	camp, err := NewCampaign(c, jobs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return replayCfg, jobs[0], budget
+	return camp.Cfg, camp.Job, camp.Budget
 }
 
 // freshRun runs job once on a freshly built SoC in the replay environment

@@ -35,8 +35,8 @@ func SoCConfig(cached bool) soc.Config {
 // The placement rule: the core under test sits at flash position pos with
 // pad bytes of alignment padding; each other core, in id order, takes the
 // next position of soc.CodePositions other than pos, offset by 0x10000
-// within that position's bank. RecordReplay turns the result into a
-// campaign environment.
+// within that position's bank. NewCampaign turns the result into a
+// campaign.
 func PlacedJobs(routine string, underTest, active int, pos, pad uint32, cached bool) (soc.Config, [soc.NumCores]*CoreJob, error) {
 	var jobs [soc.NumCores]*CoreJob
 	if underTest < 0 || underTest >= soc.NumCores || active < 0 || active > soc.NumCores {

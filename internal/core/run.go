@@ -73,17 +73,11 @@ func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, 
 		if job == nil {
 			continue
 		}
-		prog, err := buildProgram(job)
+		entry, err := loadJob(s, job)
 		if err != nil {
 			return results, nil, fmt.Errorf("core%d: %w", id, err)
 		}
-		if err := s.Load(prog); err != nil {
-			return results, nil, fmt.Errorf("core%d: %w", id, err)
-		}
-		for _, r := range job.routines() {
-			loadRoutineData(s, r)
-		}
-		entries[id] = prog.Base
+		entries[id] = entry
 	}
 	for id, job := range jobs {
 		if job != nil {
@@ -92,23 +86,29 @@ func RunJobsSetup(cfg soc.Config, jobs [soc.NumCores]*CoreJob, maxCycles int64, 
 	}
 	res := s.Run(maxCycles)
 	for id, job := range jobs {
-		if job == nil {
-			continue
-		}
-		u := s.Cores[id]
-		results[id] = &RunResult{
-			Signature: u.Core.Reg(isa.RegSig),
-			OK:        u.Core.Done() && !u.Core.Wedged() && !res.TimedOut,
-			Wedged:    u.Core.Wedged(),
-			Cycles:    u.Core.Cycle(),
-			IFStall:   u.Core.Counter(fault.CntIFStall),
-			MemStall:  u.Core.Counter(fault.CntMemStall),
-			HazStall:  u.Core.Counter(fault.CntHazStall),
-			Issued2:   u.Core.Counter(fault.CntIssued2),
-			Instret:   u.Core.Counter(fault.CntInstret),
+		if job != nil {
+			r := readResult(s, id, s.Cores[id].Core.Done() && !res.TimedOut)
+			results[id] = &r
 		}
 	}
 	return results, s, nil
+}
+
+// readResult reads core id's outcome off s. drained reports that the run
+// ended with the core done, not cut by a cycle budget or a watchdog.
+func readResult(s *soc.SoC, id int, drained bool) RunResult {
+	c := s.Cores[id].Core
+	return RunResult{
+		Signature: c.Reg(isa.RegSig),
+		OK:        drained && !c.Wedged(),
+		Wedged:    c.Wedged(),
+		Cycles:    c.Cycle(),
+		IFStall:   c.Counter(fault.CntIFStall),
+		MemStall:  c.Counter(fault.CntMemStall),
+		HazStall:  c.Counter(fault.CntHazStall),
+		Issued2:   c.Counter(fault.CntIssued2),
+		Instret:   c.Counter(fault.CntInstret),
+	}
 }
 
 // RunSingle is the single-job convenience form: the job runs on core id
@@ -140,11 +140,22 @@ func buildProgram(job *CoreJob) (*asm.Program, error) {
 	return b.Assemble(job.CodeBase)
 }
 
-// loadRoutineData writes the routine's pattern table into system SRAM (the
-// loader's job on the real device).
-func loadRoutineData(s *soc.SoC, r *sbst.Routine) {
-	off := r.DataBase - mem.SRAMBase
-	for i, w := range r.DataWords {
-		mem.WriteWord(s.SRAM, off+uint32(i)*4, w)
+// loadJob assembles job and loads its image and its routines' pattern
+// tables (into system SRAM: the loader's job on the real device), returning
+// the program's entry point.
+func loadJob(s *soc.SoC, job *CoreJob) (uint32, error) {
+	prog, err := buildProgram(job)
+	if err != nil {
+		return 0, err
 	}
+	if err := s.Load(prog); err != nil {
+		return 0, err
+	}
+	for _, r := range job.routines() {
+		off := r.DataBase - mem.SRAMBase
+		for i, w := range r.DataWords {
+			mem.WriteWord(s.SRAM, off+uint32(i)*4, w)
+		}
+	}
+	return prog.Base, nil
 }

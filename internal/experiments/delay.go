@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/fault"
 )
 
 // Delay-fault extension — the paper's future-work note made concrete:
@@ -21,7 +19,7 @@ type DelayRow = TableIIRow
 // at twice the Table II bit step (transition campaigns run two kinds per
 // line).
 func DelayFaults(o Options) ([]DelayRow, error) {
-	return forwardingSweep(o, "delay", "delay core", fault.TransitionFaults, 2*o.bitStep())
+	return forwardingSweep(o, "delay", "delay core", "transition", 2*o.bitStep())
 }
 
 // RenderDelay formats the extension results.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/conform"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/soc"
 )
@@ -15,9 +16,20 @@ import (
 // fuzzes it over random universes and environments); these tests pin the
 // equivalence on the fixed universes the paper's tables depend on.
 
-func compareEngines(t *testing.T, env *conform.CampaignEnv, sites []fault.Site) {
+// compareEngines builds the campaign of routine on core 0 in the
+// core.PlacedJobs environment (active, pos, pad, cached) and compares the
+// arena modes on it.
+func compareEngines(t *testing.T, routine string, active int, pos, pad uint32, cached bool, sites []fault.Site) {
 	t.Helper()
-	detail, err := env.CompareEngines(sites)
+	cfg, jobs, err := core.PlacedJobs(routine, 0, active, pos, pad, cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCampaign(cfg, jobs, 0, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detail, err := conform.CompareEngines(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +46,7 @@ func TestEngineEquivalenceForwarding(t *testing.T) {
 	sites = append(sites, fault.TransitionFaults(fault.ListOptions{DataBits: 32, BitStep: 16})...)
 	fault.SortSites(sites)
 
-	env, err := conform.NewCampaignEnv("forwarding", 0, 3, soc.CodeMid, 8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareEngines(t, env, sites)
+	compareEngines(t, "forwarding", 3, soc.CodeMid, 8, false, sites)
 }
 
 // TestEngineEquivalenceICU compares the arena modes on the full ICU
@@ -50,11 +58,7 @@ func TestEngineEquivalenceICU(t *testing.T) {
 	sites := fault.ICU(fault.ListOptions{BitStep: 1})
 	fault.SortSites(sites)
 
-	env, err := conform.NewCampaignEnv("icu", 0, 3, soc.CodeLow, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareEngines(t, env, sites)
+	compareEngines(t, "icu", 3, soc.CodeLow, 0, true, sites)
 }
 
 // TestEngineEquivalenceFuzz runs a few iterations of the conform campaign

@@ -163,14 +163,15 @@ func tableIIScenarios(quick bool) []scenarioSpec {
 	return out
 }
 
-// runCampaign records the golden run and bus traffic of the multi-core
-// scenario (cfg, jobs), then fault-simulates core id against the replayed
-// traffic. Fault detection compares faulty runs against the golden of the
-// same replayed environment, so the campaign is internally consistent even
-// though replayed arbitration can differ slightly from the full system
-// (replay masters occupy different round-robin slots).
+// runCampaign builds the campaign of core id in the multi-core scenario
+// (cfg, jobs) — golden run and bus traffic recorded by core.NewCampaign —
+// then fault-simulates core id against the replayed traffic. Fault
+// detection compares faulty runs against the golden of the same replayed
+// environment, so the campaign is internally consistent even though
+// replayed arbitration can differ slightly from the full system (replay
+// masters occupy different round-robin slots).
 func runCampaign(o Options, id int, cfg soc.Config, jobs [soc.NumCores]*core.CoreJob, sites []fault.Site) (fault.Report, error) {
-	replayCfg, budget, err := core.RecordReplay(cfg, jobs, id)
+	c, err := core.NewCampaign(cfg, jobs, id, sites)
 	if err != nil {
 		return fault.Report{}, fmt.Errorf("experiments: %w", err)
 	}
@@ -179,14 +180,14 @@ func runCampaign(o Options, id int, cfg soc.Config, jobs [soc.NumCores]*core.Cor
 	if o.JournalDir != "" {
 		// One content-addressed journal per campaign: resuming an
 		// interrupted sweep settles finished campaigns entirely from disk.
-		header, err := core.CampaignFingerprint(replayCfg, id, jobs[id], sites, budget)
+		header, err := c.Fingerprint()
 		if err != nil {
 			return fault.Report{}, err
 		}
 		opt.Journal = filepath.Join(o.JournalDir, "campaign-"+header.Key()+".journal")
 		opt.Resume = true
 	}
-	rep, err := core.RunCampaignOpts(replayCfg, id, jobs[id], sites, budget, opt)
+	rep, err := core.RunCampaignOpts(c.Cfg, c.Core, c.Job, c.Sites, c.Budget, opt)
 	if err != nil {
 		return fault.Report{}, err
 	}
@@ -212,25 +213,23 @@ type TableIIRow struct {
 
 // TableII fault-grades the forwarding logic of each core.
 func TableII(o Options) ([]TableIIRow, error) {
-	return forwardingSweep(o, "table2", "core", fault.ForwardingLogic, o.bitStep())
+	return forwardingSweep(o, "table2", "core", "stuckat", o.bitStep())
 }
 
-// forwardingSweep fault-grades the forwarding logic of each core over the
-// universe list builds at the given bit step: coverage per plain
-// multi-core scenario (no caches, no PCs) reduced to min-max, plus one
-// representative 3-core scenario under the cache-based strategy (still no
-// PCs, matching the paper's column). span names the sweep's telemetry
-// span; label prefixes its errors.
-func forwardingSweep(o Options, span, label string, list func(fault.ListOptions) []fault.Site, step int) ([]TableIIRow, error) {
+// forwardingSweep fault-grades the forwarding logic of each core over its
+// core.Universe under the faults model at the given bit step: coverage
+// per plain multi-core scenario (no caches, no PCs) reduced to min-max,
+// plus one representative 3-core scenario under the cache-based strategy
+// (still no PCs, matching the paper's column). span names the sweep's
+// telemetry span; label prefixes its errors.
+func forwardingSweep(o Options, span, label, faults string, step int) ([]TableIIRow, error) {
 	defer o.span(span)()
 	var rows []TableIIRow
 	for id := 0; id < soc.NumCores; id++ {
-		bits := 32
-		if id == 2 {
-			bits = 64
+		sites, err := core.Universe("forwarding", faults, id, step)
+		if err != nil {
+			return nil, err
 		}
-		sites := list(fault.ListOptions{DataBits: bits, BitStep: step})
-		fault.SortSites(sites)
 
 		var reports []fault.Report
 		for _, spec := range tableIIScenarios(o.Quick) {

@@ -171,8 +171,8 @@ func Figure2(o Options) (*Figure2Result, error) {
 		SingleCoreBytes: plainSize,
 		WrappedBytes:    wrapped,
 		OverheadBytes:   wrapped - plainSize,
-		Chunks:          1,
-		Iterations:      2,
+		Chunks:          1, // the ICU routine is NoSplit: partition always returns one chunk
+		Iterations:      2, // that chunk's loading pass and its execution pass
 		FitsICache:      wrapped <= cache.ICacheConfig().SizeBytes,
 	}, nil
 }

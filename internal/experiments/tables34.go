@@ -36,32 +36,21 @@ type TableIIIRow struct {
 // control unit per core.
 func TableIII(o Options) ([]TableIIIRow, error) {
 	defer o.span("table3")()
-	type module struct {
-		name, routine string
-		sites         func() []fault.Site
-	}
-	modules := []module{
-		{"ICU", "icu", func() []fault.Site {
-			return fault.ICU(fault.ListOptions{BitStep: 1})
-		}},
-		{"HDCU", "hdcu", func() []fault.Site {
-			s := fault.HDCU(fault.ListOptions{BitStep: 1})
-			return append(s, fault.PerfCounters(fault.ListOptions{BitStep: o.bitStep()})...)
-		}},
-	}
-
 	var rows []TableIIIRow
 	for id := 0; id < soc.NumCores; id++ {
-		for _, m := range modules {
-			sites := m.sites()
-			fault.SortSites(sites)
+		for _, routine := range []string{"icu", "hdcu"} {
+			module := strings.ToUpper(routine)
+			sites, err := core.Universe(routine, "stuckat", id, o.bitStep())
+			if err != nil {
+				return nil, err
+			}
 			if o.Quick {
 				sites = fault.Sample(sites, 2)
 			}
 			// Every core under test keeps its own bank across the arms.
 			pos := soc.CodePositions[id]
 			campaign := func(active int, cached bool) (fault.Report, error) {
-				cfg, jobs, err := core.PlacedJobs(m.routine, id, active, pos, 0, cached)
+				cfg, jobs, err := core.PlacedJobs(routine, id, active, pos, 0, cached)
 				if err != nil {
 					return fault.Report{}, err
 				}
@@ -71,23 +60,23 @@ func TableIII(o Options) ([]TableIIIRow, error) {
 			// Single-core, no caches, plain execution.
 			singleRep, err := campaign(0, false)
 			if err != nil {
-				return nil, fmt.Errorf("table III %s core %s single: %w", m.name, coreName(id), err)
+				return nil, fmt.Errorf("table III %s core %s single: %w", module, coreName(id), err)
 			}
 
 			// Multi-core, cache-based.
 			multiRep, err := campaign(soc.NumCores, true)
 			if err != nil {
-				return nil, fmt.Errorf("table III %s core %s multi: %w", m.name, coreName(id), err)
+				return nil, fmt.Errorf("table III %s core %s multi: %w", module, coreName(id), err)
 			}
 
-			fails, err := multiNoCacheFails(id, m.routine, pos, singleRep.Golden, o)
+			fails, err := multiNoCacheFails(id, routine, pos, singleRep.Golden, o)
 			if err != nil {
 				return nil, err
 			}
 
 			rows = append(rows, TableIIIRow{
 				Core:              coreName(id),
-				Module:            m.name,
+				Module:            module,
 				Faults:            len(sites),
 				SingleFC:          singleRep.Coverage(),
 				MultiCacheFC:      multiRep.Coverage(),

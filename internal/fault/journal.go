@@ -26,7 +26,7 @@ const JournalVersion = 1
 
 // JournalHeader identifies the campaign a journal belongs to. Program,
 // Universe and Env are content hashes (the caller decides what feeds them;
-// core.CampaignFingerprint is the canonical producer): two campaigns with
+// core.Campaign.Fingerprint is the canonical producer): two campaigns with
 // equal headers are the same pure function and may share verdicts.
 type JournalHeader struct {
 	Version  int    `json:"version"`

@@ -7,7 +7,7 @@
 // the full environment from a Spec deterministically (the exact
 // construction cmd/faultsim performs), so the server and every worker
 // agree on the program image, fault universe, replay traffic, cycle budget
-// and content address (core.CampaignFingerprint) without shipping any of
+// and content address (core.Campaign.Fingerprint) without shipping any of
 // them over the wire: the Spec is the wire format.
 //
 // The server folds previously settled verdicts in from a content-addressed

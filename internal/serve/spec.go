@@ -71,36 +71,26 @@ func (s Spec) Normalized() (Spec, error) {
 	return s, nil
 }
 
-// Campaign is one fully built campaign: the replay environment, the job
-// under test, the ordered fault universe, the per-run cycle budget and the
-// content-addressed identity. It is what the server fingerprints at
-// submission and what a worker simulates shards of — both sides build it
-// from the same Spec, so they agree bit for bit.
+// Campaign is one fully built campaign (replay environment, job under
+// test, ordered fault universe, per-run budget) with the request it was
+// built from and its content-addressed identity. It is what the server
+// fingerprints at submission and what a worker simulates shards of — both
+// sides build it from the same Spec, so they agree bit for bit.
 type Campaign struct {
 	// Spec is the normalized request this campaign was built from.
 	Spec Spec
-	// Cfg is the replay SoC configuration (recorded golden bus traffic
-	// feeding dedicated replay masters).
-	Cfg soc.Config
-	// Core is the core under test.
-	Core int
-	// Job is the core under test's routine + strategy job.
-	Job *core.CoreJob
-	// Sites is the ordered fault universe.
-	Sites []fault.Site
-	// Budget is the per-run cycle budget derived from the golden run (see
-	// core.RecordReplay).
-	Budget int64
-	// Header is the campaign's content address
-	// (core.CampaignFingerprint over program, universe and environment).
+	// Header is the campaign's content address (core.Campaign.Fingerprint
+	// over program, universe and environment).
 	Header fault.JournalHeader
+	// Campaign is the built campaign; its fields are promoted.
+	*core.Campaign
 }
 
 // Build constructs the campaign: routines and strategy for every active
-// core, the fault universe, one golden full-system run recording the other
-// cores' bus traffic, and the replay environment and budget derived from
-// it. Construction is deterministic — two Builds of one normalized Spec
-// (in any process) produce identical programs, universes, traffic and
+// core, the fault universe (core.Universe), and the replay environment and
+// budget core.NewCampaign derives from one golden full-system run.
+// Construction is deterministic — two Builds of one normalized Spec (in
+// any process) produce identical programs, universes, traffic and
 // fingerprints. This is the exact construction cmd/faultsim performs, so
 // a service job and a local faultsim run of the same spec are the same
 // pure function.
@@ -120,28 +110,9 @@ func (s Spec) Build() (*Campaign, error) {
 	case "tcm":
 		strat = core.TCMBased{CoreID: spec.Core}
 	}
-
-	bits := 32
-	if spec.Core == 2 {
-		bits = 64
-	}
-	opts := fault.ListOptions{DataBits: bits, BitStep: spec.BitStep}
-	var sites []fault.Site
-	switch spec.Routine {
-	case "forwarding":
-		sites = fault.ForwardingLogic(opts)
-	case "hdcu":
-		sites = fault.HDCU(opts)
-		sites = append(sites, fault.PerfCounters(opts)...)
-	case "icu":
-		sites = fault.ICU(opts)
-	}
-	if spec.Faults == "transition" {
-		sites = fault.TransitionFaults(opts)
-	}
-	fault.SortSites(sites)
-	if len(sites) == 0 {
-		return nil, fmt.Errorf("serve: routine %q has no fault universe (want forwarding, hdcu or icu)", spec.Routine)
+	sites, err := core.Universe(spec.Routine, spec.Faults, spec.Core, spec.BitStep)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 
 	// Environment: the other cores run the same routine for contention.
@@ -162,22 +133,13 @@ func (s Spec) Build() (*Campaign, error) {
 	}
 	jobs[spec.Core].Strategy = strat
 
-	replayCfg, budget, err := core.RecordReplay(cfg, jobs, spec.Core)
+	c, err := core.NewCampaign(cfg, jobs, spec.Core, sites)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-
-	header, err := core.CampaignFingerprint(replayCfg, spec.Core, jobs[spec.Core], sites, budget)
+	header, err := c.Fingerprint()
 	if err != nil {
 		return nil, fmt.Errorf("serve: fingerprint: %w", err)
 	}
-	return &Campaign{
-		Spec:   spec,
-		Cfg:    replayCfg,
-		Core:   spec.Core,
-		Job:    jobs[spec.Core],
-		Sites:  sites,
-		Budget: budget,
-		Header: header,
-	}, nil
+	return &Campaign{Spec: spec, Header: header, Campaign: c}, nil
 }
